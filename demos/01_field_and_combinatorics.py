@@ -9,22 +9,22 @@ walks through the basic vocabulary.
 
 from weylkit import (
     Tableau,
+    binom_mod,
     dominates,
     enumerate_compositions,
     enumerate_omega,
     enumerate_sst,
     enumerate_theta,
-    fp_binomial,
-    fp_multinomial,
     kostka,
     matrix_margins,
+    multinom_mod,
 )
 
 # Binomials mod p are computed digit by digit in base p, so huge arguments
 # are fine and nothing ever overflows.
-print("C(7, 2) mod 3  =", int(fp_binomial(7, 2, 3)))
-print("C(10**9 + 8, 3) mod 2 =", int(fp_binomial(10**9 + 8, 3, 2)))
-print("multinomial 4!/(2!1!1!) mod 3 =", int(fp_multinomial(4, [2, 1, 1], 3)))
+print("C(7, 2) mod 3  =", binom_mod(7, 2, 3))
+print("C(10**9 + 8, 3) mod 2 =", binom_mod(10**9 + 8, 3, 2))
+print("multinomial 4!/(2!1!1!) mod 3 =", multinom_mod(4, [2, 1, 1], 3))
 print()
 
 # Compositions of r with n parts, in the fixed descending order used for

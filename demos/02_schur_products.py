@@ -13,7 +13,7 @@ from weylkit import (
     element_product,
     enumerate_theta,
     identity_element,
-    structure_constant,
+    structure_constant_int,
     xi_product,
 )
 from weylkit.shapes import diagonal_matrix, transpose_matrix
@@ -24,7 +24,7 @@ pi = ((1, 0), (1, 0))
 
 # One linking tensor, structure constant C(2;1,1) = 2:
 theta = enumerate_theta(w, pi)[0]
-print("structure constant of the unique linking tensor:", int(structure_constant(theta, p)))
+print("structure constant of the unique linking tensor:", structure_constant_int(theta, p))
 print("xi product over F_3:", xi_product(w, pi, 3))
 print("xi product over F_2:", xi_product(w, pi, 2), "(the coefficient 2 dies)")
 print()

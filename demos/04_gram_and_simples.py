@@ -8,14 +8,14 @@ radical of the module, and the quotient dimensions are the weight
 multiplicities of the simple head: the p-Kostka numbers.
 """
 
-from weylkit import gram_matrix, simple_weight_dims
+from weylkit import gram_data, simple_weight_dims
 from weylkit.shapes import enumerate_partitions
 
 # The divided square over F_2: the middle weight (1,1) pairs to 2 = 0, so
 # the simple head loses that weight (it is a Frobenius twist of the natural
 # module).
 for p in (2, 3):
-    data = gram_matrix((2, 0), (1, 1), p)
+    data = gram_data((2, 0), (1, 1), p)
     print(f"p={p}: Gram at weight (1,1) of shape (2):", data.gram.tolist(),
           "radical dim", data.radical_dim)
 print("weight dims of the simple head of shape (2) over F_2:", simple_weight_dims((2, 0), 2))

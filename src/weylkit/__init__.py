@@ -10,10 +10,9 @@ dimensions together with its sharpness witnesses.
 
 __version__ = "0.1.0"
 
-from .fparith import FpElement, fp_binomial, fp_multinomial, is_prime
+from .fparith import binom_mod, is_prime, multinom_mod
 from .shapes import (
     Tableau,
-    count_chains,
     dominates,
     enumerate_chains,
     enumerate_compositions,
@@ -24,14 +23,17 @@ from .shapes import (
     enumerate_theta,
     kostka,
     matrix_margins,
-    matrix_to_tableau,
     plus_shift_composition,
     plus_shift_matrix,
-    plus_shift_tableau,
     plus_shift_tensor,
-    tableau_to_matrix,
 )
-from .schur import SchurElement, element_product, identity_element, structure_constant, xi_product
+from .schur import (
+    SchurElement,
+    element_product,
+    identity_element,
+    structure_constant_int,
+    xi_product,
+)
 from .weyl import (
     GramData,
     WeightSpaceModel,
@@ -39,7 +41,7 @@ from .weyl import (
     act_matrix,
     box_relation_vectors,
     build_weight_space,
-    gram_matrix,
+    gram_data,
     simple_dim,
     simple_weight_dims,
     straighten,
@@ -59,7 +61,6 @@ from .ext import (
     build_hom_complex,
     build_hook_hom_complex,
     check_hypotheses,
-    cohomology_dims,
     euler_check,
     hom_dim_oracle,
     hook_ext_crosscheck,

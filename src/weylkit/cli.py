@@ -4,12 +4,13 @@ surveys, and thin wrappers over the straightening / Gram / product tools.
 Results are emitted as single-line JSON records.  The deterministic payload
 lives under "result" (stable field order, no timestamps); timing sits next
 to it and is excluded from cache comparisons.  Records are cached under a
-content hash of their key when a cache directory is configured (flag
---cache-dir or the WEYLKIT_CACHE environment variable).
+content hash of their key and the engine version when a cache directory is
+configured (flag --cache-dir or the WEYLKIT_CACHE environment variable).
 
 Exit codes: 0 success or PASS/SHARPNESS verdicts, 1 FAIL (a verified
 statement broke with its hypotheses satisfied: an engine bug), 2 usage
-errors, 3 resource caps.
+errors, 3 resource caps (including running out of memory), 4 any other
+internal error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,9 +38,10 @@ from .ext import (
     verify_hom_bound,
     verify_periodicity,
 )
-from .resolutions import is_hook, sy_max_degree, sy_summand_count
+from .resolutions import is_hook, sy_max_degree
 from .schur import xi_product
 from .shapes import (
+    chain_space,
     dominates,
     enumerate_partitions,
     enumerate_strictly_dominating,
@@ -50,7 +53,7 @@ from .shapes import (
     parse_tableau,
     validate_partition,
 )
-from .weyl import build_weight_space, gram_matrix, simple_dim, straighten
+from .weyl import build_weight_space, gram_data, simple_dim, straighten
 
 CACHE_ENV = "WEYLKIT_CACHE"
 
@@ -68,7 +71,9 @@ def _partitions_from(args, need_mu=True):
 
 
 def _key_hash(key: dict) -> str:
-    return hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
+    # records of another engine version never match
+    hashed = {**key, "engine_version": __version__}
+    return hashlib.sha256(json.dumps(hashed, sort_keys=True).encode()).hexdigest()
 
 
 def _cache_dir(args) -> Path | None:
@@ -80,18 +85,29 @@ def _cache_load(cache: Path | None, key: dict) -> dict | None:
     if cache is None:
         return None
     path = cache / f"{_key_hash(key)}.json"
-    if not path.exists():
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
         return None
-    return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable or truncated: recompute and replace it
+        print(f"warning: ignoring unreadable cache record {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _cache_store(cache: Path | None, key: dict, record: dict):
     if cache is None:
         return
     cache.mkdir(parents=True, exist_ok=True)
-    path = cache / f"{_key_hash(key)}.json"
-    if not path.exists():
-        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    # write a temp file beside the record and rename it into place, so a
+    # reader never sees a partial record
+    fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        os.replace(tmp, cache / f"{_key_hash(key)}.json")
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _emit(args, text: str):
@@ -298,7 +314,7 @@ def cmd_straighten(args) -> int:
 
 def cmd_gram(args) -> int:
     mu, alpha = _shape_and_weight(args)
-    data = gram_matrix(mu, alpha, args.p)
+    data = gram_data(mu, alpha, args.p)
     if args.format == "json":
         _emit(args, json.dumps({"mu": list(mu), "alpha": list(alpha), "p": args.p,
                                 "gram": data.gram.tolist(), "radical_dim": data.radical_dim}))
@@ -338,7 +354,7 @@ def cmd_resolve_info(args) -> int:
         else:
             entries = []
             for alpha in enumerate_strictly_dominating(lam):
-                m = sy_summand_count(lam, alpha, k)
+                m = chain_space(lam).count(alpha, k)
                 if m:
                     entries.append({"top": list(alpha), "multiplicity": m})
         degrees.append({"degree": k, "summands": entries,
@@ -469,6 +485,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from .fparith import check_prime
 from .linalg import rank_mod
 from .resolutions import (
     ChainSummand,
+    DifferentialArrow,
     box_presentation,
     hook_resolution,
     hook_splits,
@@ -93,14 +94,6 @@ class HomComplex:
     diffs: list[np.ndarray]
     _ranks: list[int] | None = field(default=None, repr=False)
 
-    @property
-    def n(self) -> int:
-        return len(self.lam)
-
-    @property
-    def r(self) -> int:
-        return sum(self.lam)
-
     def stored_degrees(self) -> int:
         return len(self.dims)
 
@@ -126,11 +119,6 @@ class HomComplex:
         return True
 
 
-def cohomology_dims(complex_: HomComplex) -> list[int]:
-    """Ext dimensions in degrees 0..report_degree by rank-nullity over F_p."""
-    return complex_.ext_dims()
-
-
 def euler_check(complex_: HomComplex) -> tuple[bool, bool]:
     """(applicable, holds): alternating sums of Ext dims and of degree dims agree.
 
@@ -152,6 +140,55 @@ def _check_pair(lam, mu) -> tuple[Composition, Composition]:
     if sum(lam) != sum(mu):
         raise ValueError(f"{lam} and {mu} are partitions of different degrees")
     return lam, mu
+
+
+def _assemble(degrees, dim, arrows, act, p: int):
+    """Lay out the bases of a Hom complex and write its differentials.
+
+    ``degrees`` yields the summands of each degree in basis order; ``dim``
+    gives the dimension of a summand's weight slice; ``arrows`` lists the
+    differential components out of a summand, whose targets are matched by
+    chain; ``act`` is the action matrix of a compose arrow's step.  Returns
+    (summands, dims, diffs) in the layout of ``HomComplex``.
+    """
+    summands: list[list[tuple[ChainSummand, int, int]]] = []
+    offsets: list[dict[tuple, int]] = []
+    dims: list[int] = []
+    for degree in degrees:
+        layer: list[tuple[ChainSummand, int, int]] = []
+        index: dict[tuple, int] = {}
+        offset = 0
+        for summand in degree:
+            d = dim(summand)
+            if d == 0:
+                continue
+            layer.append((summand, d, offset))
+            index[summand.chain] = offset
+            offset += d
+        summands.append(layer)
+        offsets.append(index)
+        dims.append(offset)
+
+    diffs: list[np.ndarray] = []
+    for k in range(len(dims) - 1):
+        mat = np.zeros((dims[k + 1], dims[k]), dtype=np.int64)
+        for summand, d, row_off in summands[k + 1]:
+            for arrow in arrows(summand):
+                col_off = offsets[k].get(arrow.target.chain)
+                if col_off is None:
+                    continue
+                if arrow.kind == "compose":
+                    block = act(arrow.omega)
+                    rows = slice(row_off, row_off + d)
+                    cols = slice(col_off, col_off + block.shape[1])
+                    mat[rows, cols] = (mat[rows, cols] + arrow.scalar * block) % p
+                else:
+                    idx = np.arange(d)
+                    mat[row_off + idx, col_off + idx] = (
+                        mat[row_off + idx, col_off + idx] + arrow.scalar
+                    ) % p
+        diffs.append(mat)
+    return summands, dims, diffs
 
 
 def build_hom_complex(
@@ -196,44 +233,13 @@ def build_hom_complex(
                 f"exceeding the cap {max_basis}"
             )
 
-    summands: list[list[tuple[ChainSummand, int, int]]] = []
-    offsets: list[dict[tuple, int]] = []
-    dims: list[int] = []
-    for k in range(store_to + 1):
-        layer: list[tuple[ChainSummand, int, int]] = []
-        index: dict[tuple, int] = {}
-        offset = 0
-        for summand in sy_degree(lam, k):
-            d = top_dims[summand.top_weight]
-            if d == 0:
-                continue
-            layer.append((summand, d, offset))
-            index[summand.chain] = offset
-            offset += d
-        summands.append(layer)
-        offsets.append(index)
-        dims.append(offset)
-
-    diffs: list[np.ndarray] = []
-    for k in range(store_to):
-        mat = np.zeros((dims[k + 1], dims[k]), dtype=np.int64)
-        for summand, d, row_off in summands[k + 1]:
-            for arrow in sy_arrows(summand, p):
-                col_off = offsets[k].get(arrow.target.chain)
-                if col_off is None:
-                    continue
-                if arrow.kind == "compose":
-                    block = _act(arrow.omega, mu, p, target)
-                    mat[row_off : row_off + d, col_off : col_off + block.shape[1]] = (
-                        mat[row_off : row_off + d, col_off : col_off + block.shape[1]] + block
-                    ) % p
-                else:
-                    idx = np.arange(d)
-                    mat[row_off + idx, col_off + idx] = (
-                        mat[row_off + idx, col_off + idx] + arrow.scalar
-                    ) % p
-        diffs.append(mat)
-
+    summands, dims, diffs = _assemble(
+        (sy_degree(lam, k) for k in range(store_to + 1)),
+        lambda summand: top_dims[summand.top_weight],
+        lambda summand: sy_arrows(summand, p),
+        lambda w: _act(w, mu, p, target),
+        p,
+    )
     return HomComplex(lam, mu, p, target, report, natural, summands, dims, diffs)
 
 
@@ -496,55 +502,35 @@ def build_hook_hom_complex(a: int, b: int, mu, p: int) -> HomComplex:
     res = hook_resolution(a, b)
     lam = pad((a,) + (1,) * b, n)
 
-    layers: list[list[tuple[ChainSummand, int, int]]] = []
-    offsets: list[dict[Composition, int]] = []
-    dims: list[int] = []
-    for i in range(b + 1):
-        layer = []
-        index: dict[Composition, int] = {}
-        offset = 0
-        for beta in res.degree(i):
-            dim = kostka(mu, pad(beta, n))
-            if dim == 0:
-                continue
-            layer.append((ChainSummand(pad(beta, n), (("hook", i, beta),)), dim, offset))
-            index[beta] = offset
-            offset += dim
-        layers.append(layer)
-        offsets.append(index)
-        dims.append(offset)
+    def hook_summand(i: int, beta: Composition) -> ChainSummand:
+        return ChainSummand(pad(beta, n), (("hook", i, beta),))
 
-    diffs: list[np.ndarray] = []
-    for i in range(b):
-        # cochain differential degree i -> i+1: precompose with the split map
-        mat = np.zeros((dims[i + 1], dims[i]), dtype=np.int64)
-        for beta in res.degree(i + 1):
-            row_off = offsets[i + 1].get(beta)
-            if row_off is None:
-                continue
-            m = len(beta)
-            row_dim = kostka(mu, pad(beta, n))
-            for t in range(m):
-                sign = (-1) ** t
-                for u, v in hook_splits(beta, t):
-                    alpha = beta[:t] + (u, v) + beta[t + 1 :]
-                    col_off = offsets[i].get(alpha)
-                    if col_off is None:
-                        continue
-                    rho = [[0] * n for _ in range(n)]
-                    for j in range(t):
-                        rho[j][j] = beta[j]
-                    rho[t][t] = u
-                    rho[t][t + 1] = v
-                    for j in range(t + 2, m + 1):
-                        rho[j - 1][j] = beta[j - 1]
-                    block = act_matrix(tuple(tuple(row) for row in rho), mu, p)
-                    mat[row_off : row_off + row_dim, col_off : col_off + block.shape[1]] = (
-                        mat[row_off : row_off + row_dim, col_off : col_off + block.shape[1]]
-                        + sign * block
-                    ) % p
-        diffs.append(mat)
+    def split_arrows(summand: ChainSummand):
+        # cochain differential degree i-1 -> i: precompose with the split map
+        ((_, i, beta),) = summand.chain
+        m = len(beta)
+        for t in range(m):
+            for u, v in hook_splits(beta, t):
+                rho = [[0] * n for _ in range(n)]
+                for j in range(t):
+                    rho[j][j] = beta[j]
+                rho[t][t] = u
+                rho[t][t + 1] = v
+                for j in range(t + 2, m + 1):
+                    rho[j - 1][j] = beta[j - 1]
+                alpha = beta[:t] + (u, v) + beta[t + 1 :]
+                omega = tuple(tuple(row) for row in rho)
+                yield DifferentialArrow(
+                    summand, hook_summand(i - 1, alpha), "compose", omega, (-1) ** t
+                )
 
+    layers, dims, diffs = _assemble(
+        ([hook_summand(i, beta) for beta in res.degree(i)] for i in range(b + 1)),
+        lambda summand: kostka(mu, summand.top_weight),
+        split_arrows,
+        lambda w: act_matrix(w, mu, p),
+        p,
+    )
     return HomComplex(lam, mu, p, "weyl", b, b, layers, dims, diffs)
 
 

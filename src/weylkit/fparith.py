@@ -1,4 +1,4 @@
-"""Prime field scalars and binomial coefficients mod p.
+"""Prime moduli and binomial coefficients mod p.
 
 Binomial coefficients are computed digit by digit in base p (Lucas'
 congruence), and multinomials as telescoping products of binomials, so no
@@ -8,7 +8,6 @@ shifted instances (arguments of size a + p^d) exact without big integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 MAX_PRIME = 1 << 16
@@ -32,62 +31,6 @@ def check_prime(p: int) -> int:
     if p > MAX_PRIME:
         raise ValueError(f"modulus {p} exceeds the supported bound {MAX_PRIME}")
     return p
-
-
-@dataclass(frozen=True)
-class FpElement:
-    """An element of the prime field F_p, stored as its representative in [0, p)."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        return FpElement(int(other), self.p)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FpElement(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FpElement(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FpElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FpElement(pow(self.value, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FpElement(pow(self.value, e, self.p), self.p)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
 
 
 def _digit_binom_mod(a: int, b: int, p: int) -> int:
@@ -131,17 +74,3 @@ def multinom_mod(a: int, parts, p: int) -> int:
             return 0
         rem -= part
     return result
-
-
-def fp_binomial(a: int, b: int, p: int) -> FpElement:
-    """Binomial coefficient C(a, b) in F_p."""
-    check_prime(p)
-    if a < 0 or b < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    return FpElement(binom_mod(a, b, p), p)
-
-
-def fp_multinomial(a: int, parts, p: int) -> FpElement:
-    """Multinomial coefficient of a over parts in F_p; parts must sum to a."""
-    check_prime(p)
-    return FpElement(multinom_mod(a, parts, p), p)

@@ -10,22 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def fp_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
-    """Build an int64 matrix reduced mod p from a list of row vectors.
-
-    ``width`` must be given when ``rows`` is empty, since the column count
-    cannot be inferred from no data.
-    """
-    if len(rows) == 0:
-        if width is None:
-            raise ValueError("width is required for an empty matrix")
-        return np.zeros((0, width), dtype=np.int64)
-    mat = np.array(rows, dtype=np.int64)
-    if mat.ndim == 1:
-        mat = mat.reshape(1, -1)
-    return mat % p
-
-
 def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Return (R, pivots) with R the reduced row echelon form of mat over F_p.
 
@@ -84,10 +68,3 @@ def kernel_basis_mod(mat: np.ndarray, p: int) -> np.ndarray:
         for i, pc in enumerate(pivots):
             basis[k, pc] = (-red[i, f]) % p
     return basis
-
-
-def nullity_mod(mat: np.ndarray, p: int) -> int:
-    """Dimension of the right null space of mat over F_p."""
-    if mat.shape[1] == 0:
-        return 0
-    return mat.shape[1] - rank_mod(mat, p)

@@ -100,11 +100,6 @@ def sy_max_degree(lam) -> int:
     return chain_space(validate_partition(lam)).max_length()
 
 
-def sy_summand_count(lam, alpha, k: int) -> int:
-    """Multiplicity of the top weight alpha in degree k."""
-    return chain_space(tuple(lam)).count(tuple(alpha), k)
-
-
 # ---------------------------------------------------------------------------
 # hook resolution
 
@@ -121,10 +116,6 @@ class HookResolution:
     a: int
     b: int
     terms: tuple[tuple[Composition, ...], ...]
-
-    @property
-    def r(self) -> int:
-        return self.a + self.b
 
     def degree(self, i: int) -> tuple[Composition, ...]:
         if i < 0 or i > self.b:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .fparith import FpElement, check_prime, multinom_mod
+from .fparith import check_prime, multinom_mod
 from .shapes import (
     Matrix,
     diagonal_matrix,
@@ -42,11 +42,6 @@ def structure_constant_int(theta, p: int) -> int:
             if result == 0:
                 return 0
     return result
-
-
-def structure_constant(theta, p: int) -> FpElement:
-    check_prime(p)
-    return FpElement(structure_constant_int(theta, p), p)
 
 
 @lru_cache(maxsize=None)

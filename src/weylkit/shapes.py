@@ -182,10 +182,6 @@ def tensor_margins(t) -> tuple[Matrix, Matrix, Matrix]:
     return m1, m2, m3
 
 
-def tensor_total(t) -> int:
-    return sum(x for plane in t for row in plane for x in row)
-
-
 def _flatten_matrix(w) -> tuple[int, ...]:
     return tuple(x for row in w for x in row)
 
@@ -351,10 +347,6 @@ class Tableau:
         return cls(tuple(tuple(row) for row in counts))
 
     @classmethod
-    def from_matrix(cls, w) -> "Tableau":
-        return cls(w)
-
-    @classmethod
     def canonical(cls, mu) -> "Tableau":
         """The tableau of shape mu whose row j is filled with the entry j."""
         return cls(diagonal_matrix(tuple(mu)))
@@ -414,23 +406,6 @@ class Tableau:
 
     def __repr__(self) -> str:
         return f"Tableau({format_tableau(self)!r}, n={self.n})"
-
-
-def plus_shift_tableau(tab: Tableau, d: int, p: int) -> Tableau:
-    return tab.plus_shift(d, p)
-
-
-def tableau_to_matrix(tab: Tableau) -> Matrix:
-    """The weight matrix of a tableau: column sums = shape, row sums = weight."""
-    return tab.to_matrix()
-
-
-def matrix_to_tableau(w, shape=None) -> Tableau:
-    """Inverse of ``tableau_to_matrix``; optionally checks the column sums."""
-    w = validate_matrix(w)
-    if shape is not None and margin1(w) != tuple(shape):
-        raise ValueError(f"column sums {margin1(w)} do not match shape {tuple(shape)}")
-    return Tableau(w)
 
 
 @lru_cache(maxsize=None)
@@ -506,11 +481,6 @@ def kostka(mu, alpha) -> int:
     return len(enumerate_sst(tuple(mu), tuple(alpha)))
 
 
-def enumerate_row_semistandard(mu, alpha) -> list[Tableau]:
-    """Row-semistandard fillings of shape mu and weight alpha."""
-    return [Tableau(w) for w in enumerate_omega(tuple(alpha), tuple(mu))]
-
-
 # ---------------------------------------------------------------------------
 # dominance chains of upper triangular steps
 
@@ -577,10 +547,6 @@ def enumerate_chains(lam, alpha, k: int) -> list[tuple[Matrix, ...]]:
     if k < 1:
         raise ValueError("chain length must be positive")
     return list(chain_space(lam).chains(alpha, k))
-
-
-def count_chains(lam, alpha, k: int) -> int:
-    return chain_space(tuple(lam)).count(tuple(alpha), k)
 
 
 # ---------------------------------------------------------------------------

@@ -64,13 +64,6 @@ class WeightSpaceModel:
     def dim(self) -> int:
         return len(self.sst)
 
-    @property
-    def n(self) -> int:
-        return len(self.mu)
-
-    def monomial_index(self, w: Matrix) -> int:
-        return self.index[w]
-
     def monomial_class(self, w: Matrix) -> np.ndarray:
         """Semistandard coordinates of the class of the divided monomial w."""
         return self.normal_form[self.index[w]]
@@ -303,10 +296,6 @@ def gram_data(mu: Composition, alpha: Composition, p: int) -> GramData:
     return GramData(tuple(mu), tuple(alpha), p, gram, radical, free, projection, lift)
 
 
-def gram_matrix(mu, alpha, p: int) -> GramData:
-    return gram_data(tuple(mu), tuple(alpha), p)
-
-
 def simple_dim(mu, alpha, p: int) -> int:
     """Dimension of the weight-alpha slice of the simple head (p-Kostka number)."""
     return gram_data(tuple(mu), tuple(alpha), p).simple_dim
@@ -331,11 +320,3 @@ def simple_weight_dims(mu, p: int) -> dict[Composition, int]:
         if kostka(mu, alpha) > 0:
             out[alpha] = simple_dim(mu, alpha, p)
     return out
-
-
-def clear_caches():
-    """Drop all memoised models and action matrices (mainly for tests)."""
-    build_weight_space.cache_clear()
-    gram_data.cache_clear()
-    act_matrix.cache_clear()
-    act_matrix_simple.cache_clear()

@@ -157,3 +157,108 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "ext", "--p", "2", "--lambda", "1,1", "--mu", "2")
     assert code == 0
     assert list(tmp_path.glob("*.json"))
+
+
+# ``result`` payloads of the hook preset, recorded before the chain and hook
+# Hom complexes shared one assembly path; no benchmark workload runs this preset
+HOOK_RECORDS = [
+    (
+        ("--lambda", "2,1,1", "--mu", "4", "--n", "4", "--p", "2", "--d", "1"),
+        '{"key": {"p": 2, "n": 4, "r": 4, "lambda": [2, 1, 1, 0], "mu": [4, 0, 0, 0], '
+        '"theorem": "6.4", "d": 1, "max_degree": null}, "report": {"a": 2, "b": 2, "mu": [4, '
+        '0, 0, 0], "p": 2, "mu2_le_l1": true, "sy_ext_dims": [0, 1, 1, 0], '
+        '"hook_ext_dims": [0, 1, 1, 0], "per_degree_equal": [true, true, true, true], '
+        '"methods_agree": true, "vanishing_beyond_b": true, "shifted_checks": [{"d": 1, '
+        '"ext_dims": [0, 1, 1], "shifted_ext_dims": [0, 0, 0], "degrees": [{"degree": 0, '
+        '"stated": true, "supported": true, "equal": true}, {"degree": 1, "stated": true, '
+        '"supported": false, "equal": false}, {"degree": 2, "stated": false, '
+        '"supported": false, "equal": false}], "stated_bound_holds": false, '
+        '"supported_bound_holds": true}], "stated_bound_holds": false, '
+        '"supported_bound_holds": true, "verdict": "SHARPNESS", '
+        '"hypotheses": {"lambda_is_hook": true, "max_degree_covered": 1, "all_hold": true}}, '
+        '"verdict": "SHARPNESS", "engine_version": "0.1.0"}',
+    ),
+    (
+        ("--lambda", "2,1,1", "--mu", "4", "--n", "4", "--p", "2", "--d", "2"),
+        '{"key": {"p": 2, "n": 4, "r": 4, "lambda": [2, 1, 1, 0], "mu": [4, 0, 0, 0], '
+        '"theorem": "6.4", "d": 2, "max_degree": null}, "report": {"a": 2, "b": 2, "mu": [4, '
+        '0, 0, 0], "p": 2, "mu2_le_l1": true, "sy_ext_dims": [0, 1, 1, 0], '
+        '"hook_ext_dims": [0, 1, 1, 0], "per_degree_equal": [true, true, true, true], '
+        '"methods_agree": true, "vanishing_beyond_b": true, "shifted_checks": [{"d": 2, '
+        '"ext_dims": [0, 1, 1], "shifted_ext_dims": [0, 1, 1], "degrees": [{"degree": 0, '
+        '"stated": true, "supported": true, "equal": true}, {"degree": 1, "stated": true, '
+        '"supported": true, "equal": true}, {"degree": 2, "stated": true, "supported": true, '
+        '"equal": true}], "stated_bound_holds": true, "supported_bound_holds": true}], '
+        '"stated_bound_holds": true, "supported_bound_holds": true, "verdict": "PASS", '
+        '"hypotheses": {"lambda_is_hook": true, "max_degree_covered": 3, "all_hold": true}}, '
+        '"verdict": "PASS", "engine_version": "0.1.0"}',
+    ),
+    (
+        ("--lambda", "2,1", "--mu", "2,1", "--n", "3", "--p", "3", "--d", "1"),
+        '{"key": {"p": 3, "n": 3, "r": 3, "lambda": [2, 1, 0], "mu": [2, 1, 0], '
+        '"theorem": "6.4", "d": 1, "max_degree": null}, "report": {"a": 2, "b": 1, "mu": [2, '
+        '1, 0], "p": 3, "mu2_le_l1": true, "sy_ext_dims": [1, 0], "hook_ext_dims": [1, 0], '
+        '"per_degree_equal": [true, true], "methods_agree": true, '
+        '"vanishing_beyond_b": true, "shifted_checks": [{"d": 1, "ext_dims": [1, 0], '
+        '"shifted_ext_dims": [1, 0], "degrees": [{"degree": 0, "stated": true, '
+        '"supported": true, "equal": true}, {"degree": 1, "stated": true, "supported": true, '
+        '"equal": true}], "stated_bound_holds": true, "supported_bound_holds": true}], '
+        '"stated_bound_holds": true, "supported_bound_holds": true, "verdict": "PASS", '
+        '"hypotheses": {"lambda_is_hook": true, "max_degree_covered": 2, "all_hold": true}}, '
+        '"verdict": "PASS", "engine_version": "0.1.0"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", HOOK_RECORDS, ids=["p2-d1", "p2-d2", "p3-d1"])
+def test_verify_hook_records_pinned(capsys, argv, expected):
+    code, out, _ = run(capsys, "verify", "--theorem", "6.4", *argv)
+    assert code == 0
+    assert json.dumps(json.loads(out)["result"]) == expected
+
+
+def test_truncated_cache_record_is_recomputed(tmp_path, capsys):
+    args = ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--cache-dir", str(tmp_path))
+    code, out1, _ = run(capsys, *args)
+    assert code == 0
+    (path,) = tmp_path.glob("*.json")
+    good = path.read_text()
+    path.write_text(good[: len(good) // 2])
+    code, out2, err = run(capsys, *args)
+    assert code == 0
+    assert json.loads(out2)["result"] == json.loads(out1)["result"]
+    assert len(err.splitlines()) == 1 and err.startswith("warning:")
+    assert json.loads(path.read_text())["result"] == json.loads(good)["result"]
+    code, _, err = run(capsys, *args)
+    assert code == 0 and err == ""
+
+
+def test_cache_key_includes_engine_version(tmp_path, capsys, monkeypatch):
+    args = ("ext", "--p", "2", "--lambda", "1,1", "--mu", "2", "--cache-dir", str(tmp_path))
+    assert run(capsys, *args)[0] == 0
+    monkeypatch.setattr("weylkit.cli.__version__", "0.0.0-other")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["result"]["engine_version"] == "0.0.0-other"  # recomputed
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def _raise(exc):
+    def build(*args, **kwargs):
+        raise exc
+    return build
+
+
+def test_memory_error_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr("weylkit.cli.build_hom_complex", _raise(MemoryError()))
+    code, _, err = run(capsys, "ext", "--p", "2", "--lambda", "2,1", "--mu", "3")
+    assert code == 3 and err.startswith("resource cap:")
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr("weylkit.cli.build_hom_complex", _raise(KeyError("two\nlines")))
+    code, _, err = run(capsys, "ext", "--p", "2", "--lambda", "2,1", "--mu", "3")
+    assert code == 4
+    assert err.startswith("internal error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err

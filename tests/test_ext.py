@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,7 +9,6 @@ from weylkit.ext import (
     build_hom_complex,
     build_hook_hom_complex,
     check_hypotheses,
-    cohomology_dims,
     euler_check,
     hom_dim_oracle,
     hook_ext_crosscheck,
@@ -28,7 +28,7 @@ def test_complex_dims_worked_example():
 
 def test_zero_complex_when_mu_does_not_dominate():
     hc = build_hom_complex((2, 0), (1, 1), 2)
-    assert cohomology_dims(hc) == [0]
+    assert hc.ext_dims() == [0]
     assert euler_check(hc) == (True, True)
 
 
@@ -215,6 +215,30 @@ def test_hook_complex_degree_zero_is_hom():
                 assert hook.check_dsquare()
 
 
+def _diffs_digest(complex_) -> str:
+    h = hashlib.sha256()
+    for d in complex_.diffs:
+        h.update(repr(d.shape).encode())
+        h.update(np.ascontiguousarray(d, dtype="<i8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_hook_complex_differentials_pinned():
+    # the matrices themselves, not only the Ext dims: over F_2 a wrong split
+    # sign keeps every dim; digests recorded when build_hook_hom_complex
+    # still had its own assembly loop
+    cases = [
+        ((2, 2, (4, 0, 0, 0), 2), [1, 2, 1], "4f6e4813c1bdcf13"),
+        ((4, 2, (6, 0, 0, 0), 2), [1, 2, 1], "4404d367ef2e509e"),
+        ((3, 3, (4, 2, 0, 0), 3), [3, 5, 2, 0], "b84d66ab34493119"),
+        ((2, 4, (3, 3, 0, 0, 0), 2), [3, 7, 5, 1, 0], "f8613d29ff1498dc"),
+        ((2, 4, (4, 2, 0, 0, 0), 3), [6, 15, 12, 3, 0], "1e0d904895a1193b"),
+    ]
+    for args, dims, digest in cases:
+        hook = build_hook_hom_complex(*args)
+        assert hook.dims == dims and _diffs_digest(hook) == digest, args
+
+
 def test_hook_complex_input_validation():
     with pytest.raises(ValueError):
         build_hook_hom_complex(2, 2, (4, 0), 2)  # hook needs 3 rows
@@ -238,11 +262,11 @@ def test_cohomology_of_handmade_complexes():
     from weylkit.ext import HomComplex
 
     zero = HomComplex((2, 0), (1, 1), 2, "weyl", 2, 0, [[]], [0], [])
-    assert cohomology_dims(zero) == [0, 0, 0]
+    assert zero.ext_dims() == [0, 0, 0]
     exact = HomComplex(
         (1, 1), (1, 1), 3, "weyl", 1, 1, [[], []], [2, 2], [np.eye(2, dtype=np.int64)]
     )
-    assert cohomology_dims(exact) == [0, 0]
+    assert exact.ext_dims() == [0, 0]
 
 
 def test_rank_one_algebra():
@@ -254,7 +278,7 @@ def test_rank_one_algebra():
 def test_complex_dimension_decomposition():
     # degree dimension is the sum of the weight-slice dimensions over the
     # chain summands with that degree
-    from weylkit.shapes import count_chains, enumerate_strictly_dominating, kostka
+    from weylkit.shapes import chain_space, enumerate_strictly_dominating, kostka
 
     lam, mu, p = (1, 1, 1), (2, 1, 0), 3
     hc = build_hom_complex(lam, mu, p)
@@ -263,7 +287,7 @@ def test_complex_dimension_decomposition():
             expected = kostka(mu, lam)
         else:
             expected = sum(
-                count_chains(lam, alpha, k) * kostka(mu, alpha)
+                chain_space(lam).count(alpha, k) * kostka(mu, alpha)
                 for alpha in enumerate_strictly_dominating(lam)
             )
         assert hc.dims[k] == expected

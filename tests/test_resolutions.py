@@ -9,10 +9,9 @@ from weylkit.resolutions import (
     sy_arrows,
     sy_degree,
     sy_max_degree,
-    sy_summand_count,
 )
 from weylkit.shapes import (
-    count_chains,
+    chain_space,
     enumerate_strictly_dominating,
     enumerate_theta,
     matrix_margins,
@@ -35,7 +34,7 @@ def test_sy_degree_multiplicities_match_chain_counts():
         layer = sy_degree(lam, k)
         for alpha in enumerate_strictly_dominating(lam):
             got = sum(1 for s in layer if s.top_weight == alpha)
-            assert got == sy_summand_count(lam, alpha, k) == count_chains(lam, alpha, k)
+            assert got == chain_space(lam).count(alpha, k) == len(chain_space(lam).chains(alpha, k))
 
 
 def test_sy_arrows_degree_one():

@@ -23,7 +23,7 @@ from weylkit.weyl import (
     act_matrix,
     box_relation_vectors,
     build_weight_space,
-    gram_matrix,
+    gram_data,
     simple_dim,
     simple_weight_dims,
     straighten,
@@ -243,12 +243,12 @@ def test_act_module_axiom_random():
 
 
 def test_gram_examples():
-    assert gram_matrix((3, 1), (3, 1), 5).gram.tolist() == [[1]]
-    g2 = gram_matrix((2, 0), (1, 1), 2)
+    assert gram_data((3, 1), (3, 1), 5).gram.tolist() == [[1]]
+    g2 = gram_data((2, 0), (1, 1), 2)
     assert g2.gram.tolist() == [[0]] and g2.radical_dim == 1
-    g3 = gram_matrix((2, 0), (1, 1), 3)
+    g3 = gram_data((2, 0), (1, 1), 3)
     assert g3.gram.tolist() == [[2]] and g3.radical_dim == 0
-    empty = gram_matrix((2, 2), (1, 3), 2)
+    empty = gram_data((2, 2), (1, 3), 2)
     assert empty.gram.shape == (0, 0) and empty.radical_dim == 0
 
 
@@ -257,7 +257,7 @@ def test_gram_symmetric_and_radical_semisimple_case():
     p, r = 5, 3
     for mu in enumerate_partitions(2, r):
         for alpha in enumerate_compositions(2, r):
-            data = gram_matrix(mu, alpha, p)
+            data = gram_data(mu, alpha, p)
             assert np.array_equal(data.gram, data.gram.T)
             assert data.radical_dim == 0
 
@@ -270,8 +270,8 @@ def test_contravariance():
                 for a in comps:
                     for b in comps:
                         for w in enumerate_omega(a, b):
-                            src = gram_matrix(mu, b, p)
-                            tgt = gram_matrix(mu, a, p)
+                            src = gram_data(mu, b, p)
+                            tgt = gram_data(mu, a, p)
                             m = act_matrix(w, mu, p)
                             mt = act_matrix(transpose_matrix(w), mu, p)
                             assert np.array_equal(
@@ -287,10 +287,10 @@ def test_radical_is_submodule():
                 for a in comps:
                     for b in comps:
                         for w in enumerate_omega(a, b):
-                            src = gram_matrix(mu, b, p)
+                            src = gram_data(mu, b, p)
                             if src.radical_dim == 0:
                                 continue
-                            tgt = gram_matrix(mu, a, p)
+                            tgt = gram_data(mu, a, p)
                             image = (act_matrix(w, mu, p) @ src.radical_basis.T) % p
                             assert not np.any((tgt.gram @ image) % p)
 
@@ -326,7 +326,7 @@ def test_p_kostka_shift_equality():
 def test_radical_invariant_under_global_scaling():
     from weylkit.linalg import kernel_basis_mod
 
-    data = gram_matrix((2, 1, 0), (1, 1, 1), 2)
+    data = gram_data((2, 1, 0), (1, 1, 1), 2)
     for scale in (1, 2):
         scaled = (scale * data.gram) % 3
         assert kernel_basis_mod(scaled, 3).shape[0] == kernel_basis_mod(data.gram % 3, 3).shape[0]
