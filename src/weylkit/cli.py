@@ -41,6 +41,7 @@ from .ext import (
 from .resolutions import is_hook, sy_max_degree
 from .schur import xi_product
 from .shapes import (
+    Tableau,
     chain_space,
     dominates,
     enumerate_partitions,
@@ -50,7 +51,7 @@ from .shapes import (
     pad,
     parse_composition,
     parse_matrix,
-    parse_tableau,
+    parse_tableau_rows,
     validate_partition,
 )
 from .weyl import build_weight_space, gram_data, simple_dim, straighten
@@ -296,11 +297,11 @@ def _shape_and_weight(args):
 
 def cmd_straighten(args) -> int:
     mu = parse_composition(args.mu)
-    rows = [[int(x) for x in row.split(",")] if row else [] for row in args.tableau.split("/")]
+    rows = parse_tableau_rows(args.tableau)
     entry_max = max((max(row) for row in rows if row), default=1)
     n = args.n or max(len(mu), entry_max)
     mu = validate_partition(pad(mu, n))
-    tab = parse_tableau(args.tableau, n=n)
+    tab = Tableau.from_entries(rows, n)
     coords = straighten(tab, args.p, mu)
     model = build_weight_space(tuple(mu), tab.weight, args.p)
     pairs = [(format_tableau(t), int(c)) for t, c in zip(model.sst, coords) if c]

@@ -10,11 +10,12 @@ and scalars (merge arrows).  M is either a Weyl module or its simple head.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 import numpy as np
 
 from .fparith import check_prime
-from .linalg import rank_mod
+from .linalg import SparseMod, rank_mod
 from .resolutions import (
     ChainSummand,
     DifferentialArrow,
@@ -79,8 +80,9 @@ class HomComplex:
 
     ``summands[k]`` lists (chain summand, dim, offset) for the degree-k
     basis, zero-dimensional summands dropped; ``diffs[k]`` maps degree-k
-    coordinates to degree-(k+1) coordinates.  Cohomology in degree i is
-    exact for all i <= report_degree.
+    coordinates to degree-(k+1) coordinates and is stored sparse, as a
+    ``SparseMod`` of shape (dims[k+1], dims[k]) holding only its nonzero
+    entries.  Cohomology in degree i is exact for all i <= report_degree.
     """
 
     lam: Composition
@@ -91,7 +93,7 @@ class HomComplex:
     natural_length: int
     summands: list[list[tuple[ChainSummand, int, int]]]
     dims: list[int]
-    diffs: list[np.ndarray]
+    diffs: list[SparseMod]
     _ranks: list[int] | None = field(default=None, repr=False)
 
     def stored_degrees(self) -> int:
@@ -113,9 +115,16 @@ class HomComplex:
         return [self.dim(i) - self.rank(i) - self.rank(i - 1) for i in range(self.report_degree + 1)]
 
     def check_dsquare(self) -> bool:
+        """True when every composite diffs[k+1] . diffs[k] is zero mod p."""
         for k in range(len(self.diffs) - 1):
-            if np.any(self.diffs[k + 1] @ self.diffs[k] % self.p):
-                return False
+            inner = self.diffs[k].row_dicts()
+            for row in self.diffs[k + 1].row_dicts():
+                product: defaultdict[int, int] = defaultdict(int)
+                for j, v in row.items():
+                    for c, w in inner[j].items():
+                        product[c] += v * w
+                if any(x % self.p for x in product.values()):
+                    return False
         return True
 
 
@@ -142,8 +151,12 @@ def _check_pair(lam, mu) -> tuple[Composition, Composition]:
     return lam, mu
 
 
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
 def _assemble(degrees, dim, arrows, act, p: int):
-    """Lay out the bases of a Hom complex and write its differentials.
+    """Lay out the bases of a Hom complex and collect its differentials'
+    nonzero entries into one ``SparseMod`` per degree.
 
     ``degrees`` yields the summands of each degree in basis order; ``dim``
     gives the dimension of a summand's weight slice; ``arrows`` lists the
@@ -169,25 +182,42 @@ def _assemble(degrees, dim, arrows, act, p: int):
         offsets.append(index)
         dims.append(offset)
 
-    diffs: list[np.ndarray] = []
+    # nonzero (rows, cols, vals) of an arrow's block before its scalar: the
+    # action matrix of a compose arrow's step, the identity for a merge arrow
+    patterns: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def pattern(arrow, d: int):
+        key = (arrow.kind, arrow.omega if arrow.kind == "compose" else d)
+        if key not in patterns:
+            block = act(arrow.omega) if arrow.kind == "compose" else np.eye(d, dtype=np.int64)
+            r, c = np.nonzero(block)
+            patterns[key] = (r, c, block[r, c])
+        return patterns[key]
+
+    diffs: list[SparseMod] = []
     for k in range(len(dims) - 1):
-        mat = np.zeros((dims[k + 1], dims[k]), dtype=np.int64)
+        pieces = [(_EMPTY, _EMPTY, _EMPTY)]
+        row_offs, col_offs, scalars = [0], [0], [0]
         for summand, d, row_off in summands[k + 1]:
             for arrow in arrows(summand):
                 col_off = offsets[k].get(arrow.target.chain)
                 if col_off is None:
                     continue
-                if arrow.kind == "compose":
-                    block = act(arrow.omega)
-                    rows = slice(row_off, row_off + d)
-                    cols = slice(col_off, col_off + block.shape[1])
-                    mat[rows, cols] = (mat[rows, cols] + arrow.scalar * block) % p
-                else:
-                    idx = np.arange(d)
-                    mat[row_off + idx, col_off + idx] = (
-                        mat[row_off + idx, col_off + idx] + arrow.scalar
-                    ) % p
-        diffs.append(mat)
+                pieces.append(pattern(arrow, d))
+                row_offs.append(row_off)
+                col_offs.append(col_off)
+                scalars.append(arrow.scalar % p)
+        sizes = [piece[0].size for piece in pieces]
+        rows, cols, vals = (np.concatenate(part) for part in zip(*pieces))
+        diffs.append(
+            SparseMod.from_entries(
+                (dims[k + 1], dims[k]),
+                rows + np.repeat(row_offs, sizes),
+                cols + np.repeat(col_offs, sizes),
+                vals * np.repeat(scalars, sizes),
+                p,
+            )
+        )
     return summands, dims, diffs
 
 
@@ -465,10 +495,12 @@ def verify_complex_isomorphism(lam, mu, p: int, d: int, max_degree: int | None =
         perms.append(perm)
     per_degree = []
     for k in range(degrees - 1):
-        a = here.diffs[k]
+        # there's entry (i, j) belongs at (perm^-1[i], perm^-1[j]) in here's bases
         b = there.diffs[k]
-        b_matched = b[np.ix_(perms[k + 1], perms[k])] if a.size else b
-        per_degree.append(bool(np.array_equal(a, b_matched)))
+        matched = SparseMod.from_entries(
+            b.shape, np.argsort(perms[k + 1])[b.rows], np.argsort(perms[k])[b.cols], b.vals, p
+        )
+        per_degree.append(here.diffs[k] == matched)
     report = {
         "refused": False,
         "hypotheses": flags,

@@ -1,13 +1,104 @@
-"""Dense exact linear algebra modulo a prime.
+"""Exact linear algebra modulo a prime.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  Pivots are
-always chosen as the first nonzero entry in column order, so echelon forms,
-ranks and kernel bases are bit-stable across runs.
+Two storage forms are used.  Small matrices (relation systems, Gram
+matrices, radicals) are dense numpy int64 arrays with entries reduced into
+[0, p); ``rref_mod`` and ``kernel_basis_mod`` work on them and always pivot
+on the first nonzero entry in column order, so echelon forms and kernel
+bases are bit-stable across runs.  Hom-complex differentials, which are
+large and mostly zero, are ``SparseMod`` matrices: only their nonzero
+entries, in canonical row-major order.  ``rank_mod`` ranks either form by
+sparse elimination.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
+from dataclasses import dataclass
+
 import numpy as np
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class SparseMod:
+    """A matrix over F_p stored as its nonzero entries.
+
+    ``rows``, ``cols`` and ``vals`` are read-only int64 arrays sorted in
+    row-major order, with no position repeated and every value in [1, p).
+    Build one with ``from_entries`` (or ``from_dense``), which puts the
+    entries into that canonical form, so two equal matrices have equal
+    arrays.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_entries(cls, shape, rows, cols, vals, p: int) -> "SparseMod":
+        """The matrix with the given entries; entries at one position are
+        summed mod p and zero sums are dropped."""
+        nrows, ncols = (int(x) for x in shape)
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        vals = np.asarray(vals, dtype=np.int64).ravel() % p
+        if not rows.size == cols.size == vals.size:
+            raise ValueError("rows, cols and vals differ in length")
+        if rows.size and not (
+            0 <= rows.min() and rows.max() < nrows and 0 <= cols.min() and cols.max() < ncols
+        ):
+            raise ValueError(f"entry position outside the shape {(nrows, ncols)}")
+        if not vals.size:
+            return cls((nrows, ncols), _EMPTY, _EMPTY, _EMPTY)
+        keys = rows * ncols + cols
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)  # first entry at each position
+        first[1:] = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(first)
+        sums = np.add.reduceat(vals[order], starts) % p
+        keep = sums != 0
+        rows, cols = np.divmod(keys[starts][keep], ncols)
+        vals = sums[keep]
+        for arr in (rows, cols, vals):
+            arr.flags.writeable = False
+        return cls((nrows, ncols), rows, cols, vals)
+
+    @classmethod
+    def from_dense(cls, mat, p: int) -> "SparseMod":
+        """The sparse form of a dense integer matrix, reduced mod p."""
+        a = np.asarray(mat, dtype=np.int64) % p
+        rows, cols = np.nonzero(a)
+        return cls.from_entries(a.shape, rows, cols, a[rows, cols], p)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.vals.size)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def row_dicts(self) -> list[dict[int, int]]:
+        """One {column: value} dict per row."""
+        bounds = np.searchsorted(self.rows, np.arange(self.shape[0] + 1)).tolist()
+        cols, vals = self.cols.tolist(), self.vals.tolist()
+        return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseMod):
+            return NotImplemented
+        return self.shape == other.shape and all(
+            np.array_equal(x, y)
+            for x, y in ((self.rows, other.rows), (self.cols, other.cols), (self.vals, other.vals))
+        )
+
+    __hash__ = None
 
 
 def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -40,11 +131,58 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def rank_mod(mat: np.ndarray, p: int) -> int:
-    """Rank of mat over F_p."""
-    if mat.size == 0:
+def rank_mod(mat: SparseMod | np.ndarray, p: int) -> int:
+    """Rank over F_p of a SparseMod or a dense array.
+
+    Markowitz-style sparse elimination on row dicts: the pivot row is the
+    shortest remaining row (a heap keyed on row length), its pivot column
+    the entry of that row held by the fewest remaining rows, which keeps
+    fill-in low.  The pivot row is eliminated from the rows holding that
+    column and then dropped.
+    """
+    if not isinstance(mat, SparseMod):
+        mat = SparseMod.from_dense(mat, p)
+    if not mat.nnz:
         return 0
-    return len(rref_mod(mat, p)[1])
+    rows = {i: row for i, row in enumerate(mat.row_dicts()) if row}
+    holders: defaultdict[int, set[int]] = defaultdict(set)  # column -> rows with an entry there
+    for i, row in rows.items():
+        for j in row:
+            holders[j].add(i)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        length, i = heapq.heappop(heap)
+        pivot_row = rows.get(i)
+        if pivot_row is None or len(pivot_row) != length:
+            continue  # superseded by a later push
+        del rows[i]
+        rank += 1
+        for j in pivot_row:
+            holders[j].discard(i)
+        col = min(pivot_row, key=lambda j: (len(holders[j]), j))
+        inv = pow(pivot_row.pop(col), -1, p)
+        rest = list(pivot_row.items())
+        for s in holders.pop(col):
+            row = rows[s]
+            f = row.pop(col) * inv % p
+            for j, v in rest:
+                if j not in row:
+                    row[j] = -f * v % p
+                    holders[j].add(s)
+                    continue
+                x = (row[j] - f * v) % p
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+                    holders[j].discard(s)
+            if row:
+                heapq.heappush(heap, (len(row), s))
+            else:
+                del rows[s]
+    return rank
 
 
 def kernel_basis_mod(mat: np.ndarray, p: int) -> np.ndarray:

@@ -577,8 +577,13 @@ def format_matrix(w) -> str:
     return "/".join(",".join(str(x) for x in row) for row in w)
 
 
+def parse_tableau_rows(text: str) -> list[list[int]]:
+    """Entry lists of a tableau written row by row, e.g. "1,1,2/2,3"."""
+    return [[int(x) for x in row.split(",")] if row else [] for row in text.split("/")]
+
+
 def parse_tableau(text: str, n: int | None = None) -> Tableau:
-    rows = [[int(x) for x in row.split(",")] if row else [] for row in text.split("/")]
+    rows = parse_tableau_rows(text)
     if n is None:
         n = max((max(row) for row in rows if row), default=1)
         n = max(n, len(rows))

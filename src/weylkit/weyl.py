@@ -17,7 +17,7 @@ form against the row-reduced relation span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -264,7 +264,21 @@ class GramData:
         return len(self.free_columns)
 
 
-@lru_cache(maxsize=None)
+def _memo_on_tuples(fn):
+    """``lru_cache`` for a function of (mu, alpha, p) that also accepts lists:
+    mu and alpha become tuples before the cache lookup.  The returned
+    function keeps the cache's ``cache_info``."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def call(mu, alpha, p: int):
+        return cached(tuple(mu), tuple(alpha), p)
+
+    call.cache_info = cached.cache_info
+    return call
+
+
+@_memo_on_tuples
 def gram_data(mu: Composition, alpha: Composition, p: int) -> GramData:
     """Gram matrix G[i, j] = coefficient of the canonical highest tableau in
     xi_{w(T_i)^t} . [T_j], plus kernel data."""
@@ -293,12 +307,12 @@ def gram_data(mu: Composition, alpha: Composition, p: int) -> GramData:
         lift[f, row_idx] = 1
     for arr in (gram, radical, projection, lift):
         arr.flags.writeable = False
-    return GramData(tuple(mu), tuple(alpha), p, gram, radical, free, projection, lift)
+    return GramData(mu, alpha, p, gram, radical, free, projection, lift)
 
 
 def simple_dim(mu, alpha, p: int) -> int:
     """Dimension of the weight-alpha slice of the simple head (p-Kostka number)."""
-    return gram_data(tuple(mu), tuple(alpha), p).simple_dim
+    return gram_data(mu, alpha, p).simple_dim
 
 
 @lru_cache(maxsize=None)

@@ -217,6 +217,34 @@ def test_verify_hook_records_pinned(capsys, argv, expected):
     assert json.dumps(json.loads(out)["result"]) == expected
 
 
+# straighten --format json output recorded before the tableau text was parsed
+# only once; the first call needs the entry-max rule for n (mu has one part)
+STRAIGHTEN_RECORDS = [
+    (
+        ("--p", "3", "--mu", "3", "--tableau", "1,2,3"),
+        '{"mu": [3, 0, 0], "tableau": "1,2,3", "p": 3, '
+        '"coefficients": [{"tableau": "1,2,3", "c": 1}]}',
+    ),
+    (
+        ("--p", "2", "--mu", "2,1", "--tableau", "2,3/1"),
+        '{"mu": [2, 1, 0], "tableau": "2,3/1", "p": 2, '
+        '"coefficients": [{"tableau": "1,2/3", "c": 1}, {"tableau": "1,3/2", "c": 1}]}',
+    ),
+    (
+        ("--p", "3", "--mu", "4,2", "--tableau", "2,2,1,1/1,2", "--n", "3"),
+        '{"mu": [4, 2, 0], "tableau": "2,2,1,1/1,2", "p": 3, '
+        '"coefficients": [{"tableau": "1,1,1,2/2,2", "c": 1}]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", STRAIGHTEN_RECORDS, ids=["entry-max", "two-terms", "n"])
+def test_straighten_records_pinned(capsys, argv, expected):
+    code, out, _ = run(capsys, "straighten", "--format", "json", *argv)
+    assert code == 0
+    assert out == expected
+
+
 def test_truncated_cache_record_is_recomputed(tmp_path, capsys):
     args = ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--cache-dir", str(tmp_path))
     code, out1, _ = run(capsys, *args)

@@ -1,11 +1,15 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import weylkit.ext
 from weylkit.ext import (
+    HomComplex,
     ResourceLimitError,
+    TheoremViolationError,
     build_hom_complex,
     build_hook_hom_complex,
     check_hypotheses,
@@ -16,6 +20,7 @@ from weylkit.ext import (
     verify_hom_bound,
     verify_periodicity,
 )
+from weylkit.linalg import SparseMod
 from weylkit.shapes import dominates, enumerate_partitions, pad
 
 
@@ -82,6 +87,34 @@ def test_dsquare_zero_everywhere():
                     for target in ("weyl", "simple"):
                         hc = build_hom_complex(lam, mu, p, target)
                         assert hc.check_dsquare(), (lam, mu, p, target)
+
+
+def _two_term_complex(p: int, value: int) -> HomComplex:
+    # F -> F^2 -> F with d0 = (1, 1)^T and d1 = (1, value): d1 . d0 = 1 + value
+    d0 = SparseMod.from_entries((2, 1), [0, 1], [0, 0], [1, 1], p)
+    d1 = SparseMod.from_entries((1, 2), [0, 0], [0, 1], [1, value], p)
+    return HomComplex((1, 1), (1, 1), p, "weyl", 2, 2, [[], [], []], [1, 2, 1], [d0, d1])
+
+
+def test_check_dsquare_detects_nonzero_composite():
+    assert not _two_term_complex(3, 1).check_dsquare()  # 2 != 0 mod 3
+    assert not _two_term_complex(5, 3).check_dsquare()  # 4 != 0 mod 5
+    assert _two_term_complex(3, 2).check_dsquare()  # 3 = 0 mod 3
+    assert _two_term_complex(2, 1).check_dsquare()  # 2 = 0 mod 2
+
+
+def test_dense_blocks_never_allocated():
+    # the dense int64 differentials would take 8 * sum dims[k] * dims[k+1]
+    # bytes (77 MB here); the sparse build must stay far below that
+    tracemalloc.start()
+    try:
+        hc = build_hom_complex((3, 3, 3), (9, 0, 0), 3, "simple")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = 8 * sum(a * b for a, b in zip(hc.dims, hc.dims[1:]))
+    assert dense > 50 * 2**20
+    assert peak < dense / 4, (peak, dense)
 
 
 def test_euler_characteristic_identity():
@@ -157,6 +190,30 @@ def test_verify_complex_isomorphism_cases():
     assert refused["refused"] and "reason" in refused
 
 
+@pytest.mark.parametrize("side", ["here", "there"])
+def test_complex_isomorphism_catches_one_altered_entry(monkeypatch, side):
+    build = weylkit.ext.build_hom_complex
+    calls = []
+
+    def altered_build(*args, **kwargs):
+        hc = build(*args, **kwargs)
+        calls.append(hc)
+        if len(calls) == (1 if side == "here" else 2):
+            k = max(k for k, d in enumerate(hc.diffs) if d.nnz)
+            d = hc.diffs[k]
+            vals = d.vals.copy()
+            vals[-1] += 1
+            hc.diffs[k] = SparseMod.from_entries(d.shape, d.rows, d.cols, vals, hc.p)
+        return hc
+
+    case = ((2, 1, 1), (4, 0, 0), 3, 1)
+    assert verify_complex_isomorphism(*case)["all_equal"]
+    monkeypatch.setattr(weylkit.ext, "build_hom_complex", altered_build)
+    with pytest.raises(TheoremViolationError):
+        verify_complex_isomorphism(*case)
+    assert len(calls) == 2
+
+
 def test_periodicity_exhaustive_small_grid():
     for p in (2, 3):
         for r in (1, 2, 3, 4):
@@ -219,7 +276,7 @@ def _diffs_digest(complex_) -> str:
     h = hashlib.sha256()
     for d in complex_.diffs:
         h.update(repr(d.shape).encode())
-        h.update(np.ascontiguousarray(d, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(d.toarray(), dtype="<i8").tobytes())
     return h.hexdigest()[:16]
 
 

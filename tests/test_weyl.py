@@ -252,6 +252,17 @@ def test_gram_examples():
     assert empty.gram.shape == (0, 0) and empty.radical_dim == 0
 
 
+def test_gram_data_accepts_lists():
+    # list arguments are normalised to tuples before the cache lookup
+    from_lists = gram_data([3, 1, 0], [2, 1, 1], 3)
+    from_tuples = gram_data((3, 1, 0), (2, 1, 1), 3)
+    assert from_lists.mu == (3, 1, 0) and from_lists.alpha == (2, 1, 1)
+    for name in ("gram", "radical_basis", "projection", "lift"):
+        assert np.array_equal(getattr(from_lists, name), getattr(from_tuples, name))
+    assert from_lists.free_columns == from_tuples.free_columns
+    assert gram_data.cache_info().currsize >= 1
+
+
 def test_gram_symmetric_and_radical_semisimple_case():
     # p > r: every Gram matrix is nonsingular
     p, r = 5, 3
