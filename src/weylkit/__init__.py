@@ -14,7 +14,6 @@ from .fparith import binom_mod, is_prime, multinom_mod
 from .shapes import (
     Tableau,
     dominates,
-    enumerate_chains,
     enumerate_compositions,
     enumerate_omega,
     enumerate_partitions,

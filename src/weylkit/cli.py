@@ -45,7 +45,6 @@ from .shapes import (
     chain_space,
     dominates,
     enumerate_partitions,
-    enumerate_strictly_dominating,
     format_tableau,
     kostka,
     pad,
@@ -131,7 +130,7 @@ def _run_cached(args, key: dict, compute) -> dict:
     """
     cache = _cache_dir(args)
     cached = _cache_load(cache, key)
-    if cached is not None and not getattr(args, "recheck", False):
+    if cached is not None and not args.recheck:
         return cached
     started = time.monotonic()
     record = _record(key, compute(), started)
@@ -303,7 +302,7 @@ def cmd_straighten(args) -> int:
     mu = validate_partition(pad(mu, n))
     tab = Tableau.from_entries(rows, n)
     coords = straighten(tab, args.p, mu)
-    model = build_weight_space(tuple(mu), tab.weight, args.p)
+    model = build_weight_space(mu, tab.weight, args.p)
     pairs = [(format_tableau(t), int(c)) for t, c in zip(model.sst, coords) if c]
     if args.format == "json":
         _emit(args, json.dumps({"mu": list(mu), "tableau": args.tableau, "p": args.p,
@@ -348,16 +347,11 @@ def cmd_schur_mul(args) -> int:
 def cmd_resolve_info(args) -> int:
     lam = validate_partition(parse_composition(args.lam, n=args.n))
     length = sy_max_degree(lam)
+    space = chain_space(lam)
     degrees = []
     for k in range(min(args.max_degree, length) + 1):
-        if k == 0:
-            entries = [{"top": list(lam), "multiplicity": 1}]
-        else:
-            entries = []
-            for alpha in enumerate_strictly_dominating(lam):
-                m = chain_space(lam).count(alpha, k)
-                if m:
-                    entries.append({"top": list(alpha), "multiplicity": m})
+        counts = ((alpha, space.count(alpha, k)) for alpha in space.tops)
+        entries = [{"top": list(alpha), "multiplicity": m} for alpha, m in counts if m]
         degrees.append({"degree": k, "summands": entries,
                         "total": sum(e["multiplicity"] for e in entries)})
     payload = {"lambda": list(lam), "resolution_length": length, "degrees": degrees}
@@ -388,25 +382,30 @@ def _add_common(sub, mu=True, prime=True):
 def _add_output(sub, default_format="json"):
     sub.add_argument("--format", choices=("json", "table"), default=default_format)
     sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    sub.add_argument("--cache-dir", default=None, help=f"result cache (default ${CACHE_ENV})")
-    sub.add_argument("--recheck", action="store_true", help="recompute cached records and compare")
-    sub.add_argument("--max-basis", type=int, default=MAX_BASIS_DEFAULT)
-    sub.add_argument("--max-r", type=int, default=MAX_R_DEFAULT)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="weylkit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    # flags of the commands that write cache records, and of those that also build complexes
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument("--cache-dir", default=None, help=f"result cache (default ${CACHE_ENV})")
+    cached.add_argument("--recheck", action="store_true",
+                        help="recompute cached records and compare")
+    capped = argparse.ArgumentParser(add_help=False, parents=[cached])
+    capped.add_argument("--max-basis", type=int, default=MAX_BASIS_DEFAULT)
+    capped.add_argument("--max-r", type=int, default=MAX_R_DEFAULT)
 
-    ext = subs.add_parser("ext", help="Ext dimension table for a pair of partitions")
+    ext = subs.add_parser("ext", parents=[capped],
+                          help="Ext dimension table for a pair of partitions")
     _add_common(ext)
     ext.add_argument("--target", choices=("weyl", "simple"), default="weyl")
     ext.add_argument("--max-degree", type=int, default=None)
     _add_output(ext)
     ext.set_defaults(func=cmd_ext)
 
-    verify = subs.add_parser("verify", help="verify a periodicity statement")
+    verify = subs.add_parser("verify", parents=[cached], help="verify a periodicity statement")
     verify.add_argument("--theorem", choices=("1.1.1", "1.1.2", "6.1", "6.4"), required=True)
     _add_common(verify)
     verify.add_argument("--d", type=int, required=True, help="shift exponent")
@@ -414,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(verify)
     verify.set_defaults(func=cmd_verify)
 
-    survey = subs.add_parser("survey", help="Ext records for all dominated pairs in a grid")
+    survey = subs.add_parser("survey", parents=[capped],
+                             help="Ext records for all dominated pairs in a grid")
     survey.add_argument("--p", type=int, required=True)
     survey.add_argument("--r", type=int, required=True)
     survey.add_argument("--n", type=int, default=None)

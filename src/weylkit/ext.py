@@ -31,7 +31,6 @@ from .shapes import (
     Composition,
     chain_space,
     dominates,
-    enumerate_strictly_dominating,
     kostka,
     pad,
     plus_shift_composition,
@@ -252,11 +251,10 @@ def build_hom_complex(
     # cheap size estimates (counting only) before materialising anything;
     # raw chain counts are capped too, since even zero-dimensional summands
     # cost their enumeration
-    tops = [lam] + enumerate_strictly_dominating(lam)
-    top_dims = {a: _weight_dim(mu, a, p, target) for a in tops}
+    top_dims = {a: _weight_dim(mu, a, p, target) for a in space.tops}
     for k in range(store_to + 1):
-        raw = sum(space.count(a, k) for a in tops) if k else 1
-        total = sum(space.count(a, k) * top_dims[a] for a in tops) if k else top_dims[lam]
+        raw = sum(space.count(a, k) for a in space.tops)
+        total = sum(space.count(a, k) * top_dims[a] for a in space.tops)
         if max(raw, total) > max_basis:
             raise ResourceLimitError(
                 f"degree {k} needs {raw} chains and {total} basis elements, "
@@ -296,7 +294,7 @@ def hom_dim_oracle(lam, mu, p: int) -> int:
         rho[i0][i0] = lam[i0]
         rho[i0][i0 + 1] = family.t
         rho[i0 + 1][i0 + 1] = lam[i0 + 1] - family.t
-        blocks.append(act_matrix(tuple(tuple(row) for row in rho), mu, p))
+        blocks.append(act_matrix(rho, mu, p))
     if not blocks:
         return model.dim
     stacked = np.vstack(blocks)
@@ -368,8 +366,6 @@ def verify_periodicity(
     d: int,
     target: str = "weyl",
     max_degree: int | None = None,
-    max_basis: int = MAX_BASIS_DEFAULT,
-    max_r: int = MAX_R_DEFAULT,
 ) -> dict:
     """Compare Ext dimensions before and after adding p^d to the first parts.
 
@@ -380,10 +376,10 @@ def verify_periodicity(
     lam, mu = _check_pair(lam, mu)
     theorem = "1.1.1" if target == "weyl" else "1.1.2"
     flags = check_hypotheses(lam, mu, p, d, theorem)
-    here = build_hom_complex(lam, mu, p, target, max_degree, max_basis, max_r)
+    here = build_hom_complex(lam, mu, p, target, max_degree)
     lam_s = plus_shift_composition(lam, d, p)
     mu_s = plus_shift_composition(mu, d, p)
-    there = build_hom_complex(lam_s, mu_s, p, target, max_degree, max_basis, max_r)
+    there = build_hom_complex(lam_s, mu_s, p, target, max_degree)
     dims_a, dims_b = _pad_equal(here.ext_dims(), there.ext_dims())
     per_degree = [x == y for x, y in zip(dims_a, dims_b)]
     all_equal = all(per_degree)

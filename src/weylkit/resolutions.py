@@ -25,7 +25,6 @@ from .shapes import (
     Composition,
     Matrix,
     chain_space,
-    enumerate_strictly_dominating,
     is_partition,
     margin1,
     validate_partition,
@@ -60,14 +59,8 @@ def sy_degree(lam, k: int) -> list[ChainSummand]:
     lam = validate_partition(lam)
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if k == 0:
-        return [ChainSummand(lam, ())]
     space = chain_space(lam)
-    out = []
-    for alpha in enumerate_strictly_dominating(lam):
-        for chain in space.chains(alpha, k):
-            out.append(ChainSummand(alpha, chain))
-    return out
+    return [ChainSummand(alpha, chain) for alpha in space.tops for chain in space.chains(alpha, k)]
 
 
 def sy_arrows(summand: ChainSummand, p: int) -> list[DifferentialArrow]:

@@ -491,26 +491,36 @@ class ChainSpace:
 
         alpha = rowsums(w_1), colsums(w_i) = rowsums(w_{i+1}), colsums(w_k) = lam.
 
-    Each step strictly lowers the dominance order, so chains have bounded
-    length; counting and materialisation are memoised separately because the
-    counts are needed for cheap resource estimates.
+    The chain resolution of lam has one degree-k summand per length-k chain
+    from one of ``tops``: lam itself (the empty chain), then the weights
+    strictly dominating it.  The steps out of a weight are found once;
+    counting and materialisation are memoised separately because the counts
+    are needed for cheap resource estimates.
     """
 
     def __init__(self, lam: Composition):
         self.lam = tuple(lam)
+        self.tops = (self.lam, *enumerate_strictly_dominating(self.lam))
+        self._step_cache: dict[Composition, tuple[tuple[Matrix, Composition], ...]] = {}
         self._count_cache: dict[tuple[Composition, int], int] = {}
         self._chain_cache: dict[tuple[Composition, int], tuple[tuple[Matrix, ...], ...]] = {}
+        self._length: int | None = None
+
+    def _steps(self, alpha: Composition) -> tuple[tuple[Matrix, Composition], ...]:
+        """The steps w out of alpha with their column sums, keeping only those
+        whose column sum still dominates lam: no other step reaches lam."""
+        if alpha not in self._step_cache:
+            pairs = ((w, margin1(w)) for w in enumerate_upper_triangular(alpha))
+            self._step_cache[alpha] = tuple((w, b) for w, b in pairs if dominates(b, self.lam))
+        return self._step_cache[alpha]
 
     def count(self, alpha: Composition, k: int) -> int:
         alpha = tuple(alpha)
         if k == 0:
-            return 1 if alpha == self.lam else 0
+            return int(alpha == self.lam)
         key = (alpha, k)
         if key not in self._count_cache:
-            total = 0
-            for w in enumerate_upper_triangular(alpha):
-                total += self.count(margin1(w), k - 1)
-            self._count_cache[key] = total
+            self._count_cache[key] = sum(self.count(beta, k - 1) for _, beta in self._steps(alpha))
         return self._count_cache[key]
 
     def chains(self, alpha: Composition, k: int) -> tuple[tuple[Matrix, ...], ...]:
@@ -519,34 +529,26 @@ class ChainSpace:
             return ((),) if alpha == self.lam else ()
         key = (alpha, k)
         if key not in self._chain_cache:
-            out = []
-            for w in enumerate_upper_triangular(alpha):
-                if self.count(margin1(w), k - 1) == 0:
-                    continue
-                for tail in self.chains(margin1(w), k - 1):
-                    out.append((w,) + tail)
-            self._chain_cache[key] = tuple(out)
+            self._chain_cache[key] = tuple(
+                (w,) + tail for w, beta in self._steps(alpha) for tail in self.chains(beta, k - 1)
+            )
         return self._chain_cache[key]
 
     def max_length(self) -> int:
-        """Largest k for which some chain exists."""
-        k = 0
-        while any(self.count(a, k + 1) for a in enumerate_strictly_dominating(self.lam)):
-            k += 1
-        return k
+        """Largest k for which some chain exists: the longest path from a top
+        down to lam.  Ascending lex order refines dominance, so every step's
+        target comes before the weight it leaves."""
+        if self._length is None:
+            longest: dict[Composition, int] = {}
+            for alpha in sorted(self.tops):
+                longest[alpha] = max((1 + longest[b] for _, b in self._steps(alpha)), default=0)
+            self._length = max(longest.values())
+        return self._length
 
 
 @lru_cache(maxsize=None)
 def chain_space(lam: Composition) -> ChainSpace:
     return ChainSpace(lam)
-
-
-def enumerate_chains(lam, alpha, k: int) -> list[tuple[Matrix, ...]]:
-    """All length-k chains from alpha down to lam; empty unless alpha > lam."""
-    lam, alpha = tuple(lam), tuple(alpha)
-    if k < 1:
-        raise ValueError("chain length must be positive")
-    return list(chain_space(lam).chains(alpha, k))
 
 
 # ---------------------------------------------------------------------------

@@ -115,11 +115,35 @@ def box_relation_vectors(mu, alpha, p: int):
     return monomials, relations
 
 
-@lru_cache(maxsize=None)
+def _frozen(x):
+    # lists (of lists) as tuples (of tuples), so they can be hashed
+    return tuple(map(_frozen, x)) if isinstance(x, (list, tuple)) else x
+
+
+def _memo_on_tuples(fn):
+    """``lru_cache`` for a function of (x, y, p) that also accepts lists: a
+    composition x or y becomes a tuple, and a weight matrix a tuple of row
+    tuples, before the cache lookup.  The returned function keeps the
+    cache's ``cache_info``."""
+    cached = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def call(x, y, p: int):
+        try:
+            hash((x, y))
+        except TypeError:  # a list somewhere in x or y
+            x, y = _frozen(x), _frozen(y)
+        return cached(x, y, p)
+
+    call.cache_info = cached.cache_info
+    return call
+
+
+@_memo_on_tuples
 def build_weight_space(mu: Composition, alpha: Composition, p: int) -> WeightSpaceModel:
     """Build (and cache) the weight-alpha model of the Weyl module of shape mu."""
     monomials, relations = box_relation_vectors(mu, alpha, p)
-    sst = enumerate_sst(tuple(mu), tuple(alpha))
+    sst = enumerate_sst(mu, alpha)
     index = {w: i for i, w in enumerate(monomials)}
     sst_cols = [index[t.to_matrix()] for t in sst]
     other_cols = [c for c in range(len(monomials)) if c not in set(sst_cols)]
@@ -127,7 +151,7 @@ def build_weight_space(mu: Composition, alpha: Composition, p: int) -> WeightSpa
 
     if len(monomials) == 0:
         normal_form = np.zeros((0, len(sst)), dtype=np.int64)
-        return WeightSpaceModel(tuple(mu), tuple(alpha), p, monomials, sst, 0, normal_form, index)
+        return WeightSpaceModel(mu, alpha, p, monomials, sst, 0, normal_form, index)
 
     reduced, pivots = rref_mod(relations[:, perm], p)
     rank = len(pivots)
@@ -144,7 +168,7 @@ def build_weight_space(mu: Composition, alpha: Composition, p: int) -> WeightSpa
         col = perm[piv]
         normal_form[col] = (-reduced[i, len(other_cols):]) % p
     normal_form.flags.writeable = False
-    return WeightSpaceModel(tuple(mu), tuple(alpha), p, monomials, sst, rank, normal_form, index)
+    return WeightSpaceModel(mu, alpha, p, monomials, sst, rank, normal_form, index)
 
 
 def straighten(tab: Tableau, p: int, mu=None) -> np.ndarray:
@@ -155,9 +179,9 @@ def straighten(tab: Tableau, p: int, mu=None) -> np.ndarray:
     tableau of that shape and weight.
     """
     shape = tuple(mu) if mu is not None else tab.shape
-    if tuple(tab.shape) != tuple(shape):
+    if tab.shape != shape:
         raise ValueError(f"tableau has shape {tab.shape}, expected {shape}")
-    model = build_weight_space(tuple(shape), tab.weight, p)
+    model = build_weight_space(shape, tab.weight, p)
     return model.monomial_class(tab.to_matrix())
 
 
@@ -175,12 +199,12 @@ def two_row_straighten(tab: Tableau, mu, p: int) -> np.ndarray:
     mu = validate_partition(mu)
     if len([m for m in mu if m > 0]) > 2:
         raise ValueError(f"{mu} has more than two rows")
-    if tuple(tab.shape) != tuple(mu):
+    if tab.shape != mu:
         raise ValueError(f"tableau has shape {tab.shape}, expected {mu}")
     n = tab.n
     a = tuple(tab.counts[s][0] for s in range(n))
     b = tuple(tab.counts[s][1] for s in range(n))
-    model = build_weight_space(tuple(mu), tab.weight, p)
+    model = build_weight_space(mu, tab.weight, p)
     out = np.zeros(model.dim, dtype=np.int64)
     if a[0] + b[0] > mu[0]:
         return out
@@ -209,7 +233,7 @@ def two_row_straighten(tab: Tableau, mu, p: int) -> np.ndarray:
 # the algebra action on weight spaces
 
 
-@lru_cache(maxsize=None)
+@_memo_on_tuples
 def act_matrix(w: Matrix, mu: Composition, p: int) -> np.ndarray:
     """Matrix of xi_w on the Weyl module of shape mu, from the weight slice
     at the column margin of w to the slice at its row margin, in
@@ -228,12 +252,11 @@ def act_matrix(w: Matrix, mu: Composition, p: int) -> np.ndarray:
 
 def act(w, vec, mu, p: int) -> np.ndarray:
     """Apply xi_w to a vector in semistandard coordinates of its weight slice."""
-    w = tuple(tuple(row) for row in w)
     vec = np.asarray(vec, dtype=np.int64)
-    src_dim = build_weight_space(tuple(mu), margin1(w), p).dim
+    src_dim = build_weight_space(mu, margin1(w), p).dim
     if vec.shape != (src_dim,):
         raise ValueError(f"vector has shape {vec.shape}, weight slice has dim {src_dim}")
-    return act_matrix(w, tuple(mu), p) @ vec % p
+    return act_matrix(w, mu, p) @ vec % p
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +285,6 @@ class GramData:
     @property
     def simple_dim(self) -> int:
         return len(self.free_columns)
-
-
-def _memo_on_tuples(fn):
-    """``lru_cache`` for a function of (mu, alpha, p) that also accepts lists:
-    mu and alpha become tuples before the cache lookup.  The returned
-    function keeps the cache's ``cache_info``."""
-    cached = lru_cache(maxsize=None)(fn)
-
-    @wraps(fn)
-    def call(mu, alpha, p: int):
-        return cached(tuple(mu), tuple(alpha), p)
-
-    call.cache_info = cached.cache_info
-    return call
 
 
 @_memo_on_tuples

@@ -107,6 +107,19 @@ def test_resource_cap_exit_code(capsys):
     assert code == 3 and "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "1.1.1", "--p", "2", "--d", "1", "--lambda", "2,1", "--mu", "3",
+     "--max-basis", "0"),
+    ("kostka", "--mu", "2,1", "--alpha", "1,1,1", "--cache-dir", "x"),
+], ids=["verify-max-basis", "kostka-cache-dir"])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    # verify builds no capped complex and kostka writes no cache record
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_determinism_and_cache(tmp_path, capsys):
     args = ("ext", "--p", "2", "--lambda", "2,2", "--mu", "4", "--cache-dir", str(tmp_path))
     code, out1, _ = run(capsys, *args)

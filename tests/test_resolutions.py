@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from weylkit.cli import main
 from weylkit.resolutions import (
     BoxFamily,
     box_presentation,
@@ -12,9 +16,11 @@ from weylkit.resolutions import (
 )
 from weylkit.shapes import (
     chain_space,
+    enumerate_partitions,
     enumerate_strictly_dominating,
     enumerate_theta,
     matrix_margins,
+    plus_shift_composition,
 )
 
 
@@ -139,3 +145,65 @@ def test_resolution_finiteness():
         assert sy_degree(lam, bound + 1) == []
         if bound:
             assert sy_degree(lam, bound)
+
+
+def _longest_by_counting(lam):
+    # the largest k with a length-k chain from some top, found by counting
+    # chains at every length until none is left
+    space = chain_space(lam)
+    tops = enumerate_strictly_dominating(lam)
+    k = 0
+    while any(space.count(a, k + 1) for a in tops):
+        k += 1
+    return k
+
+
+def test_max_length_is_longest_chain():
+    for n in range(1, 5):
+        for r in range(8):
+            for lam in enumerate_partitions(n, r):
+                shifts = [plus_shift_composition(lam, 1, p) for p in (2, 3)] if r else []
+                for mu in [lam] + shifts:
+                    length = chain_space(mu).max_length()
+                    assert length == _longest_by_counting(mu), mu
+                    assert sy_degree(mu, length + 1) == []
+                    if length:
+                        assert sy_degree(mu, length)
+
+
+# recorded before the chain layout moved behind ChainSpace: resolution
+# length, per-degree totals and sha256 of the JSON of
+# ``resolve-info --max-degree 20``
+RESOLVE_INFO_PINS = {
+    "3,2,1": (4, [1, 8, 16, 12, 3],
+              "c60a1de857bbc043181104ed662ad9836859ee9915d85123c86fe1fe1040f9fc"),
+    "2,2,2,1": (9, [1, 71, 781, 3484, 8234, 11460, 9724, 4943, 1380, 162],
+                "ca32defb4d7d656ba9f08e0797cb36f5ff6db18834c8396ff7b48807084b3cf0"),
+    "1,1,1,1": (6, [1, 23, 107, 206, 195, 90, 16],
+                "c06607cf590f174f584b60c36aece25d1ea16281965541057db7ded33179dd87"),
+}
+
+
+@pytest.mark.parametrize("lam", sorted(RESOLVE_INFO_PINS))
+def test_resolve_info_pinned(capsys, lam):
+    code = main(["resolve-info", "--lambda", lam, "--max-degree", "20", "--format", "json"])
+    text = capsys.readouterr().out.strip()
+    assert code == 0
+    length, totals, digest = RESOLVE_INFO_PINS[lam]
+    payload = json.loads(text)
+    assert payload["resolution_length"] == length
+    assert [deg["total"] for deg in payload["degrees"]] == totals
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of repr([sy_degree(lam, k) for k in 0..length+1]), recorded with the pins above
+SY_DEGREE_PINS = {
+    (3, 2, 1): "efe81444472faa7e590da7c3d8a350b3ffc1d16699aa488bf757a9c8b0ebfb60",
+    (2, 2, 2, 1): "423eae74e8518ff818c4c079226bdc4a5f52ae91d9f8936ed44b205efb9d5d98",
+}
+
+
+@pytest.mark.parametrize("lam", sorted(SY_DEGREE_PINS))
+def test_sy_degree_layout_pinned(lam):
+    layers = [sy_degree(lam, k) for k in range(sy_max_degree(lam) + 2)]
+    assert hashlib.sha256(repr(layers).encode()).hexdigest() == SY_DEGREE_PINS[lam]

@@ -8,7 +8,6 @@ from weylkit.shapes import (
     chain_space,
     diagonal_matrix,
     dominates,
-    enumerate_chains,
     enumerate_compositions,
     enumerate_dominating,
     enumerate_omega,
@@ -246,10 +245,10 @@ def test_tableau_normalises_row_order():
 
 
 def test_enumerate_chains_examples():
-    chains = enumerate_chains((1, 1), (2, 0), 1)
-    assert chains == [(((1, 1), (0, 0)),)]
+    chains = chain_space((1, 1)).chains((2, 0), 1)
+    assert chains == ((((1, 1), (0, 0)),),)
     # beyond the longest strict dominance chain everything vanishes
-    assert enumerate_chains((1, 1), (2, 0), 2) == []
+    assert chain_space((1, 1)).chains((2, 0), 2) == ()
     assert chain_space((2, 1, 0)).count((3, 0, 0), 9) == 0
 
 
@@ -268,7 +267,7 @@ def test_chains_against_pair_bruteforce():
         and matrix_margins(w1)[0] == matrix_margins(w2)[1]
         and matrix_margins(w2)[0] == lam
     ]
-    assert sorted(enumerate_chains(lam, alpha, k)) == sorted(brute)
+    assert sorted(chain_space(lam).chains(alpha, k)) == sorted(brute)
     assert chain_space(lam).count(alpha, k) == len(brute)
 
 
@@ -276,7 +275,7 @@ def test_chain_relations_hold():
     lam = (2, 1, 0)
     for alpha in enumerate_strictly_dominating(lam):
         for k in (1, 2, 3):
-            for chain in enumerate_chains(lam, alpha, k):
+            for chain in chain_space(lam).chains(alpha, k):
                 assert matrix_margins(chain[0])[1] == alpha
                 assert matrix_margins(chain[-1])[0] == lam
                 for a, b in zip(chain, chain[1:]):

@@ -263,6 +263,26 @@ def test_gram_data_accepts_lists():
     assert gram_data.cache_info().currsize >= 1
 
 
+def test_weight_space_and_action_accept_lists():
+    # lists, and rows given as lists, are normalised to tuples before the
+    # cache lookup
+    from_lists = build_weight_space([3, 1, 0], [2, 1, 1], 3)
+    from_tuples = build_weight_space((3, 1, 0), (2, 1, 1), 3)
+    assert from_lists.mu == (3, 1, 0) and from_lists.alpha == (2, 1, 1)
+    assert from_lists.monomials == from_tuples.monomials
+    assert from_lists.sst == from_tuples.sst and from_lists.dim == 2
+    assert np.array_equal(from_lists.normal_form, from_tuples.normal_form)
+    w = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    expected = act_matrix(w, (3, 1, 0), 3)
+    assert expected.shape == (2, 2) and expected.any()
+    for w_given in ([list(row) for row in w], tuple(list(row) for row in w)):
+        assert np.array_equal(act_matrix(w_given, [3, 1, 0], 3), expected)
+    assert np.array_equal(act_matrix([[1, 0], [1, 0]], [2, 0], 2),
+                          act_matrix(((1, 0), (1, 0)), (2, 0), 2))
+    assert build_weight_space.cache_info().currsize >= 1
+    assert act_matrix.cache_info().currsize >= 1
+
+
 def test_gram_symmetric_and_radical_semisimple_case():
     # p > r: every Gram matrix is nonsingular
     p, r = 5, 3
