@@ -10,7 +10,8 @@ configured (flag --cache-dir or the WEYLKIT_CACHE environment variable).
 Exit codes: 0 success or PASS/SHARPNESS verdicts, 1 FAIL (a verified
 statement broke with its hypotheses satisfied: an engine bug), 2 usage
 errors, 3 resource caps (including running out of memory), 4 any other
-internal error.
+internal error.  A closed stdout (``weylkit ... | head``) ends the command
+quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -384,7 +386,10 @@ def _add_output(sub, default_format="json"):
     sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every default it holds
+    is a constant, and the cache directory is read at call time."""
     parser = argparse.ArgumentParser(prog="weylkit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -475,7 +480,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except TheoremViolationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         print(json.dumps(exc.report), file=sys.stderr)
@@ -489,6 +496,11 @@ def main(argv=None) -> int:
     except MemoryError:
         print("resource cap: out of memory", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout (`weylkit ... | head`): stop quietly, and
+        # let the interpreter's last flush of stdout go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -1,13 +1,13 @@
 """Exact linear algebra modulo a prime.
 
-Two storage forms are used.  Small matrices (relation systems, Gram
-matrices, radicals) are dense numpy int64 arrays with entries reduced into
-[0, p); ``rref_mod`` and ``kernel_basis_mod`` work on them and always pivot
-on the first nonzero entry in column order, so echelon forms and kernel
-bases are bit-stable across runs.  Hom-complex differentials, which are
-large and mostly zero, are ``SparseMod`` matrices: only their nonzero
-entries, in canonical row-major order.  ``rank_mod`` ranks either form by
-sparse elimination.
+Two storage forms are used.  Small matrices (Gram matrices, radicals) are
+dense numpy int64 arrays with entries reduced into [0, p); ``rref_mod`` and
+``kernel_basis_mod`` work on them and always pivot on the first nonzero
+entry in column order, so echelon forms and kernel bases are bit-stable
+across runs.  Hom-complex differentials and box-relation systems, which are
+mostly zero, are ``SparseMod`` matrices: only their nonzero entries, in
+canonical row-major order.  ``rank_mod`` ranks either form by sparse
+elimination.
 """
 
 from __future__ import annotations

@@ -9,9 +9,13 @@ into row i+1 (multiplication, which contributes binomial coefficients).
 
 Everything is computed one weight at a time.  The weight-alpha slice of
 D(mu) has the divided monomials as basis, indexed by matrices with column
-margin mu and row margin alpha; the semistandard tableaux of weight alpha
-survive as a basis of the quotient, and the straightening map is the normal
-form against the row-reduced relation span.
+margin mu and row margin alpha.  The relations are stored sparse, as a
+``linalg.SparseMod`` built in bulk with numpy: each monomial, together with
+every nonzero vector of boxes moved back out of its column i+1, names one
+generator that reaches it.  The semistandard tableaux of weight alpha
+survive as a basis of the quotient, so sparse elimination that pivots only
+on the other monomials leaves one row per other monomial holding
+semistandard columns alone: its normal form, the straightening map.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from .fparith import binom_mod, check_prime
-from .linalg import kernel_basis_mod, rref_mod
+from .linalg import SparseMod, kernel_basis_mod, rref_mod
 from .schur import xi_product_terms
 from .shapes import (
     Composition,
@@ -69,49 +73,84 @@ class WeightSpaceModel:
         return self.normal_form[self.index[w]]
 
 
-def box_relation_vectors(mu, alpha, p: int):
+@lru_cache(maxsize=None)
+def _binom_table(r: int, p: int) -> np.ndarray:
+    # C(a, b) mod p for 0 <= a, b <= r
+    table = np.array(
+        [[binom_mod(a, b, p) for b in range(r + 1)] for a in range(r + 1)], dtype=np.int64
+    )
+    table.flags.writeable = False
+    return table
+
+
+def _sub_vectors(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, v): every nonzero v with 0 <= v <= c[owner], for each row of c.
+
+    The vectors below a row are numbered in mixed radix c + 1 and decoded
+    digit by digit, so nothing is enumerated in Python.
+    """
+    radix = c + 1
+    stride = np.ones_like(radix)
+    for s in range(c.shape[1] - 2, -1, -1):
+        stride[:, s] = stride[:, s + 1] * radix[:, s + 1]
+    counts = stride[:, 0] * radix[:, 0]
+    owner = np.repeat(np.arange(len(c)), counts)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    owner, k = owner[k > 0], k[k > 0]  # k = 0 is the zero vector
+    return owner, k[:, None] // stride[owner] % radix[owner]
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[int, np.ndarray]:
+    """(number of distinct rows, rank of each row among them in lex order)
+    of a nonnegative integer array.
+
+    Each row is compared as one byte string: in big-endian order the bytes
+    of nonnegative ints sort as the ints do, and nothing can overflow.
+    """
+    rows = np.ascontiguousarray(keys, dtype=">i8")
+    strings = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    distinct, ids = np.unique(strings, return_inverse=True)
+    return len(distinct), ids
+
+
+def box_relation_vectors(mu, alpha, p: int) -> tuple[tuple[Matrix, ...], SparseMod]:
     """Images of the box-relation generators in the weight-alpha monomial basis.
 
-    Returns (monomials, relations) where relations is a matrix over F_p with
-    one row per relation generator, in monomial coordinates.
+    Returns (monomials, relations) where relations is a ``SparseMod`` over
+    F_p with one row per relation generator, in monomial coordinates.  The
+    rows run over the row pairs (i, i+1), then t, then the generators of
+    D(..., mu_i + t, mu_{i+1} - t, ...) in descending lex order.
+
+    The generator rho reaches the monomial w when w is rho with some v,
+    |v| = t, moved from column i to column i+1, with coefficient
+    prod_s C(w[s][i+1], v_s).  So the nonzero v <= column i+1 of w list
+    every (generator, image) pair once, read off the monomials in bulk.
     """
     mu = validate_partition(mu)
     alpha = validate_composition(alpha, n=len(mu), r=sum(mu))
     check_prime(p)
     n = len(mu)
     monomials = tuple(enumerate_omega(alpha, mu))
-    index = {w: i for i, w in enumerate(monomials)}
-    rows: list[np.ndarray] = []
-    for i in range(n - 1):
-        for t in range(1, mu[i + 1] + 1):
-            gamma = list(mu)
-            gamma[i] += t
-            gamma[i + 1] -= t
-            for rho in enumerate_omega(alpha, tuple(gamma)):
-                vec = np.zeros(len(monomials), dtype=np.int64)
-                col_i = tuple(rho[s][i] for s in range(n))
-                col_next = tuple(rho[s][i + 1] for s in range(n))
-                for moved in _compositions_bounded(t, col_i):
-                    coeff = 1
-                    for s in range(n):
-                        coeff = coeff * binom_mod(moved[s] + col_next[s], moved[s], p) % p
-                    if coeff == 0:
-                        continue
-                    target = tuple(
-                        tuple(
-                            col_i[s] - moved[s]
-                            if j == i
-                            else (col_next[s] + moved[s] if j == i + 1 else rho[s][j])
-                            for j in range(n)
-                        )
-                        for s in range(n)
-                    )
-                    vec[index[target]] = (vec[index[target]] + coeff) % p
-                rows.append(vec)
-    if rows:
-        relations = np.array(rows, dtype=np.int64)
-    else:
-        relations = np.zeros((0, len(monomials)), dtype=np.int64)
+    m = len(monomials)
+    if n < 2:
+        return monomials, SparseMod.from_entries((0, m), [], [], [], p)
+    cube = np.array(monomials, dtype=np.int64).reshape(m, n, n)
+    # one row per (monomial w, row pair i): column i+1 of w, as w[s][i+1]
+    col_next = cube[:, :, 1:].transpose(0, 2, 1).reshape(m * (n - 1), n)
+    owner, moved = _sub_vectors(col_next)
+    w, i = np.divmod(owner, n - 1)
+    rho = cube[w]
+    e, s = np.arange(w.size)[:, None], np.arange(n)
+    rho[e, s, i[:, None]] += moved
+    rho[e, s, i[:, None] + 1] -= moved
+    factors = _binom_table(mu[1], p)[col_next[owner], moved]  # column i+1 holds <= mu[1]
+    coeff = factors[:, 0]
+    for k in range(1, n):
+        coeff = coeff * factors[:, k] % p
+    # number the generators in (i, t, rho descending) order
+    keys = np.column_stack([i, moved.sum(axis=1), sum(mu) - rho.reshape(w.size, n * n)])
+    generators, rows = _distinct_rows(keys)
+    relations = SparseMod.from_entries((generators, m), rows, w, coeff, p)
     return monomials, relations
 
 
@@ -139,36 +178,65 @@ def _memo_on_tuples(fn):
     return call
 
 
+def _reduce_onto(relations: SparseMod, keep: set[int], p: int) -> dict[int, dict[int, int]] | None:
+    """Gauss-Jordan elimination of the relation rows that pivots only on
+    columns outside ``keep``.
+
+    Returns {pivot column: row dict}, each row free of every pivot column
+    and standing for 1 at its pivot plus its entries, or None as soon as a
+    relation reduces to a nonzero row on the ``keep`` columns alone.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in relations.row_dicts():
+        for col in [c for c in row if c in pivots]:
+            _subtract(row, row.pop(col), pivots[col], p)
+        col = next((c for c in row if c not in keep), None)
+        if col is None:
+            if row:
+                return None
+            continue
+        inv = pow(row.pop(col), -1, p)
+        row = {c: v * inv % p for c, v in row.items()}
+        for other in pivots.values():  # substitute the new pivot into the earlier rows
+            if col in other:
+                _subtract(other, other.pop(col), row, p)
+        pivots[col] = row
+    return pivots
+
+
+def _subtract(row: dict[int, int], f: int, other: dict[int, int], p: int):
+    # row -= f * other, in place
+    for c, v in other.items():
+        x = (row.get(c, 0) - f * v) % p
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)
+
+
 @_memo_on_tuples
 def build_weight_space(mu: Composition, alpha: Composition, p: int) -> WeightSpaceModel:
     """Build (and cache) the weight-alpha model of the Weyl module of shape mu."""
     monomials, relations = box_relation_vectors(mu, alpha, p)
     sst = enumerate_sst(mu, alpha)
     index = {w: i for i, w in enumerate(monomials)}
-    sst_cols = [index[t.to_matrix()] for t in sst]
-    other_cols = [c for c in range(len(monomials)) if c not in set(sst_cols)]
-    perm = other_cols + sst_cols
-
-    if len(monomials) == 0:
-        normal_form = np.zeros((0, len(sst)), dtype=np.int64)
-        return WeightSpaceModel(mu, alpha, p, monomials, sst, 0, normal_form, index)
-
-    reduced, pivots = rref_mod(relations[:, perm], p)
-    rank = len(pivots)
-    if rank != len(other_cols) or any(piv >= len(other_cols) for piv in pivots):
+    sst_pos = {index[t.to_matrix()]: j for j, t in enumerate(sst)}
+    pivots = _reduce_onto(relations, set(sst_pos), p)
+    others = len(monomials) - len(sst)
+    if pivots is None or len(pivots) != others:
+        found = "a relation on SST columns alone" if pivots is None else f"rank {len(pivots)}"
         raise AssertionError(
             f"SST basis violated for mu={mu}, alpha={alpha}, p={p}: "
-            f"rank {rank}, non-SST columns {len(other_cols)}"
+            f"{found}, non-SST columns {others}"
         )
+    # the pivot row of col says: monomial(col) + its SST entries = 0 in the quotient
     normal_form = np.zeros((len(monomials), len(sst)), dtype=np.int64)
-    for j, col in enumerate(sst_cols):
-        normal_form[col, j] = 1
-    for i, piv in enumerate(pivots):
-        # row: monomial(perm[piv]) + sum over sst cols of reduced entries = 0
-        col = perm[piv]
-        normal_form[col] = (-reduced[i, len(other_cols):]) % p
+    normal_form[list(sst_pos), list(sst_pos.values())] = 1
+    for col, row in pivots.items():
+        for c, v in row.items():
+            normal_form[col, sst_pos[c]] = -v % p
     normal_form.flags.writeable = False
-    return WeightSpaceModel(mu, alpha, p, monomials, sst, rank, normal_form, index)
+    return WeightSpaceModel(mu, alpha, p, monomials, sst, others, normal_form, index)
 
 
 def straighten(tab: Tableau, p: int, mu=None) -> np.ndarray:
@@ -324,7 +392,7 @@ def simple_dim(mu, alpha, p: int) -> int:
     return gram_data(mu, alpha, p).simple_dim
 
 
-@lru_cache(maxsize=None)
+@_memo_on_tuples
 def act_matrix_simple(w: Matrix, mu: Composition, p: int) -> np.ndarray:
     """Matrix of xi_w between weight slices of the simple head of shape mu."""
     src = gram_data(mu, margin1(w), p)

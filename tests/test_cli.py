@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from weylkit.cli import main
+from weylkit.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -303,3 +309,28 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == 4
     assert err.startswith("internal error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv, keep", [
+    # `weylkit ext ... | head -c 30`: the reader leaves after 30 bytes of a
+    # record of about 300 kB, more than a pipe holds
+    (["ext", "--p", "3", "--lambda", "2,1", "--mu", "3", "--max-degree", "100000"], 30),
+    # `weylkit kostka ... | true`: the reader is gone before the buffered
+    # record is flushed
+    (["kostka", "--mu", "2,1", "--alpha", "1,1,1", "--n", "3"], 0),
+], ids=["mid-record", "at-flush"])
+def test_closed_stdout_exits_quietly(argv, keep):
+    env = {k: v for k, v in os.environ.items() if k not in ("WEYLKIT_CACHE", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "weylkit.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(keep)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0, err
+    assert err == b""
+    assert len(head) == keep

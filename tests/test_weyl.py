@@ -17,10 +17,13 @@ from weylkit.shapes import (
     plus_shift_composition,
     transpose_matrix,
 )
+from weylkit.linalg import rref_mod
 from weylkit.schur import xi_product
+from weylkit import weyl
 from weylkit.weyl import (
     act,
     act_matrix,
+    act_matrix_simple,
     box_relation_vectors,
     build_weight_space,
     gram_data,
@@ -37,7 +40,7 @@ def test_box_relations_column_shape():
     monomials, relations = box_relation_vectors((1, 1), (2, 0), 2)
     assert len(monomials) == 1
     assert relations.shape == (1, 1)
-    assert relations[0, 0] % 2 == 1
+    assert relations.toarray()[0, 0] % 2 == 1
     for p in (2, 3, 5):
         model = build_weight_space((1, 1), (2, 0), p)
         assert model.dim == 0  # no semistandard filling of a column with two 1s
@@ -46,6 +49,59 @@ def test_box_relations_column_shape():
 def test_box_relations_single_row_empty():
     _, relations = box_relation_vectors((4,), (4,), 3)
     assert relations.shape[0] == 0
+
+
+def _dense_model(mu, alpha, p):
+    """(monomials, relation rank, normal form) from a dense ``rref_mod`` of
+    the relation matrix with the non-SST columns first."""
+    monomials, relations = box_relation_vectors(mu, alpha, p)
+    index = {w: i for i, w in enumerate(monomials)}
+    sst_cols = [index[t.to_matrix()] for t in enumerate_sst(mu, alpha)]
+    others = [c for c in range(len(monomials)) if c not in sst_cols]
+    reduced, pivots = rref_mod(relations.toarray()[:, others + sst_cols], p)
+    assert pivots == list(range(len(others))), (mu, alpha, p)
+    normal_form = np.zeros((len(monomials), len(sst_cols)), dtype=np.int64)
+    normal_form[sst_cols, range(len(sst_cols))] = 1
+    for i, col in enumerate(others):
+        normal_form[col] = -reduced[i, len(others):] % p
+    return monomials, len(pivots), normal_form
+
+
+def test_sparse_models_match_dense_reduction():
+    # every weight of every partition with n <= 3, r <= 7 and n = 4, r <= 6,
+    # and one n = 5, r = 15 slice below the top weight, whose 25 matrix
+    # entries up to 15 overflow any int64 mixed-radix key
+    cases = [
+        (mu, alpha)
+        for n, r_max in ((1, 7), (2, 7), (3, 7), (4, 6))
+        for r in range(r_max + 1)
+        for mu in enumerate_partitions(n, r)
+        for alpha in enumerate_compositions(n, r)
+    ]
+    cases.append(((11, 2, 1, 1, 0), (10, 2, 1, 1, 1)))
+    for mu, alpha in cases:
+        for p in (2, 3, 5):
+            model = build_weight_space(mu, alpha, p)
+            monomials, rank, normal_form = _dense_model(mu, alpha, p)
+            assert model.monomials == monomials == tuple(enumerate_omega(alpha, mu))
+            assert model.relation_rank == rank, (mu, alpha, p)
+            assert np.array_equal(model.normal_form, normal_form), (mu, alpha, p)
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_sst_assertion_fires(monkeypatch, change):
+    # with one tableau too few the relations cannot reach every other
+    # monomial; with a non-semistandard one added, some relation reduces to
+    # a nonzero row on the tableau columns alone
+    mu, alpha, p = (3, 2, 1), (2, 2, 2), 3
+    tableaux = enumerate_sst(mu, alpha)
+    assert len(tableaux) > 1
+    extra = next(Tableau(w) for w in enumerate_omega(alpha, mu) if Tableau(w) not in tableaux)
+    fake = tableaux[1:] if change == "drop" else tableaux + (extra,)
+    monkeypatch.setattr(weyl, "enumerate_sst", lambda *_: fake)
+    found = "rank" if change == "drop" else "SST columns alone"
+    with pytest.raises(AssertionError, match=f"SST basis violated.*{found}"):
+        build_weight_space.__wrapped__(mu, alpha, p)
 
 
 def test_box_relation_rank_example():
@@ -281,6 +337,15 @@ def test_weight_space_and_action_accept_lists():
                           act_matrix(((1, 0), (1, 0)), (2, 0), 2))
     assert build_weight_space.cache_info().currsize >= 1
     assert act_matrix.cache_info().currsize >= 1
+
+
+def test_simple_action_accepts_lists():
+    assert act_matrix_simple([[1, 0], [1, 0]], [2, 0], 2).shape == (0, 1)
+    w = ((1, 1), (0, 0))
+    expected = act_matrix_simple(w, (2, 0), 3)
+    assert expected.shape == (1, 1) and expected.any()
+    assert np.array_equal(act_matrix_simple([list(row) for row in w], [2, 0], 3), expected)
+    assert act_matrix_simple.cache_info().currsize >= 1
 
 
 def test_gram_symmetric_and_radical_semisimple_case():
