@@ -36,7 +36,6 @@ from .ext import (
     check_hypotheses,
     euler_check,
     hook_ext_crosscheck,
-    verify_complex_isomorphism,
     verify_hom_bound,
     verify_periodicity,
 )
@@ -187,6 +186,9 @@ def cmd_ext(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_degree is not None and args.theorem in ("6.1", "6.4"):
+        # these presets build no truncated complex, so the bound would go unread
+        raise ValueError(f"--max-degree does not apply to theorem {args.theorem}")
     lam, mu, n = _partitions_from(args)
     key = {
         "p": args.p,
@@ -200,14 +202,9 @@ def cmd_verify(args) -> int:
     }
 
     def compute():
-        if args.theorem == "1.1.1":
-            report = verify_periodicity(lam, mu, args.p, args.d, "weyl", args.max_degree)
-            if report["hypotheses"]["all_hold"]:
-                report["isomorphism"] = verify_complex_isomorphism(
-                    lam, mu, args.p, args.d, args.max_degree
-                )
-        elif args.theorem == "1.1.2":
-            report = verify_periodicity(lam, mu, args.p, args.d, "simple", args.max_degree)
+        if args.theorem in ("1.1.1", "1.1.2"):
+            target = "weyl" if args.theorem == "1.1.1" else "simple"
+            report = verify_periodicity(lam, mu, args.p, args.d, target, args.max_degree)
         elif args.theorem == "6.1":
             report = verify_hom_bound(lam, mu, args.p, args.d)
         elif args.theorem == "6.4":
@@ -414,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--theorem", choices=("1.1.1", "1.1.2", "6.1", "6.4"), required=True)
     _add_common(verify)
     verify.add_argument("--d", type=int, required=True, help="shift exponent")
-    verify.add_argument("--max-degree", type=int, default=None)
+    verify.add_argument("--max-degree", type=int, default=None,
+                        help="last Ext degree compared (theorems 1.1.1 and 1.1.2)")
     _add_output(verify)
     verify.set_defaults(func=cmd_verify)
 

@@ -2,10 +2,12 @@
 
 * The chain resolution B_*: degree k is a direct sum of cyclic projectives,
   one per length-k chain of upper-triangular non-diagonal weight matrices
-  descending from a top weight to lam.  Differentials are stored as arrows
-  (compose with the first chain step, or merge two adjacent steps), never as
-  materialised algebra elements; matrices only appear after applying a Hom
-  functor, where each summand collapses to a single weight slice.
+  descending from a top weight to lam; within a degree the chain alone
+  names its summand.  Differentials are stored as arrows, plain (target
+  chain, step, scalar) triples (compose with the first chain step, or merge
+  two adjacent steps), never as materialised algebra elements; matrices only
+  appear after applying a Hom functor, where each summand collapses to a
+  single weight slice.
 * The hook resolution P_*(a, b) for lam = (a, 1^b): degree i is a sum of
   divided-power modules indexed by positive compositions with first part in
   [a, a+i]; the differential splits one tensor factor in two.
@@ -26,7 +28,6 @@ from .shapes import (
     Matrix,
     chain_space,
     is_partition,
-    margin1,
     validate_partition,
 )
 
@@ -38,22 +39,6 @@ class ChainSummand(NamedTuple):
     chain: tuple[Matrix, ...]
 
 
-class DifferentialArrow(NamedTuple):
-    """One component of the differential out of a degree-k summand.
-
-    ``kind`` is "compose" (drop the first chain step; the induced map on Hom
-    spaces is the action of that step) or "merge" (replace steps i, i+1 by
-    the middle margin of a linking tensor; scalar (-1)^i times the structure
-    constant).  Degree-1 summands only have their compose arrow.
-    """
-
-    source: ChainSummand
-    target: ChainSummand
-    kind: str
-    omega: Matrix | None
-    scalar: int
-
-
 def sy_degree(lam, k: int) -> list[ChainSummand]:
     """Summands of degree k of the chain resolution of lam."""
     lam = validate_partition(lam)
@@ -63,28 +48,25 @@ def sy_degree(lam, k: int) -> list[ChainSummand]:
     return [ChainSummand(alpha, chain) for alpha in space.tops for chain in space.chains(alpha, k)]
 
 
-def sy_arrows(summand: ChainSummand, p: int) -> list[DifferentialArrow]:
-    """All differential components out of a degree-k summand (k >= 1)."""
+def sy_arrows(chain: tuple[Matrix, ...], p: int) -> list[tuple]:
+    """The differential components out of the summand of a length-k chain
+    (k >= 1), as (target chain, step, scalar) triples.
+
+    The compose arrow drops the first step; its step is that matrix, whose
+    action is the induced map on Hom spaces.  A merge arrow replaces steps
+    i, i+1 by the middle margin of a linking tensor, keeping the top weight;
+    its step is None (an identity block) and its scalar is (-1)^i times the
+    structure constant.  Degree-1 summands only have their compose arrow.
+    """
     check_prime(p)
-    chain = summand.chain
     k = len(chain)
     if k < 1:
         raise ValueError("degree-0 summand has no outgoing differential")
-    arrows: list[DifferentialArrow] = []
-    first = chain[0]
-    tail = chain[1:]
-    tail_top = margin1(first)
-    arrows.append(
-        DifferentialArrow(summand, ChainSummand(tail_top, tail), "compose", first, 1)
-    )
+    arrows = [(chain[1:], chain[0], 1)]
     for i in range(1, k):
         sign = (-1) ** i
         for merged, coeff in xi_product_terms(chain[i - 1], chain[i], p):
-            target_chain = chain[: i - 1] + (merged,) + chain[i + 1 :]
-            target = ChainSummand(summand.top_weight, target_chain)
-            arrows.append(
-                DifferentialArrow(summand, target, "merge", merged, sign * coeff % p)
-            )
+            arrows.append((chain[: i - 1] + (merged,) + chain[i + 1 :], None, sign * coeff % p))
     return arrows
 
 

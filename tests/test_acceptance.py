@@ -16,7 +16,6 @@ from weylkit.ext import (
     check_hypotheses,
     hom_dim_oracle,
     hook_ext_crosscheck,
-    verify_complex_isomorphism,
     verify_periodicity,
 )
 from weylkit.fparith import binom_mod
@@ -94,8 +93,7 @@ def test_criterion_3_weyl_periodicity_exhaustive_grid():
                     continue
                 rep = verify_periodicity(lam, mu, p, 1, "weyl")
                 assert rep["verdict"] == "PASS", (lam, mu, p, rep)
-                iso = verify_complex_isomorphism(lam, mu, p, 1)
-                assert iso["all_equal"], (lam, mu, p)
+                assert rep["isomorphism"]["all_equal"], (lam, mu, p)
                 checked += 1
     assert checked >= 30
     report("criterion 3 (weyl-target periodicity + complex isomorphism)", started, 120,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import weylkit.ext
 from weylkit.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -234,6 +235,85 @@ def test_verify_hook_records_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, "verify", "--theorem", "6.4", *argv)
     assert code == 0
     assert json.dumps(json.loads(out)["result"]) == expected
+
+
+# ``result`` payloads of the 1.1.1 preset, recorded while the isomorphism check
+# still rebuilt both Hom complexes: a PASS carrying its isomorphism report,
+# the same truncated to degree 1, and a SHARPNESS without one
+PERIODICITY_RECORDS = [
+    (
+        ("--lambda", "2,2", "--mu", "4", "--n", "3", "--p", "3", "--d", "1"),
+        '{"key": {"p": 3, "n": 3, "r": 4, "lambda": [2, 2, 0], "mu": [4, 0, 0], '
+        '"theorem": "1.1.1", "d": 1, "max_degree": null}, "report": {"lambda": [2, 2, 0], '
+        '"mu": [4, 0, 0], "p": 3, "d": 1, "target": "weyl", "theorem": "1.1.1", '
+        '"hypotheses": {"pd_gt_r_minus_l1": true, "mu2_le_l1": true, "all_hold": true}, '
+        '"ext_dims": [1, 1, 0], "shifted_lambda": [5, 2, 0], "shifted_mu": [7, 0, 0], '
+        '"shifted_ext_dims": [1, 1, 0], "per_degree_equal": [true, true, true], '
+        '"all_equal": true, "verdict": "PASS", "isomorphism": {"refused": false, '
+        '"hypotheses": {"pd_gt_r_minus_l1": true, "mu2_le_l1": true, "all_hold": true}, '
+        '"degrees_compared": 3, "per_degree_equal": [true, true], "all_equal": true}}, '
+        '"verdict": "PASS", "engine_version": "0.1.0"}',
+    ),
+    (
+        ("--lambda", "2,2", "--mu", "4", "--n", "3", "--p", "3", "--d", "1", "--max-degree", "1"),
+        '{"key": {"p": 3, "n": 3, "r": 4, "lambda": [2, 2, 0], "mu": [4, 0, 0], '
+        '"theorem": "1.1.1", "d": 1, "max_degree": 1}, "report": {"lambda": [2, 2, 0], '
+        '"mu": [4, 0, 0], "p": 3, "d": 1, "target": "weyl", "theorem": "1.1.1", '
+        '"hypotheses": {"pd_gt_r_minus_l1": true, "mu2_le_l1": true, "all_hold": true}, '
+        '"ext_dims": [1, 1], "shifted_lambda": [5, 2, 0], "shifted_mu": [7, 0, 0], '
+        '"shifted_ext_dims": [1, 1], "per_degree_equal": [true, true], "all_equal": true, '
+        '"verdict": "PASS", "isomorphism": {"refused": false, "hypotheses": '
+        '{"pd_gt_r_minus_l1": true, "mu2_le_l1": true, "all_hold": true}, '
+        '"degrees_compared": 3, "per_degree_equal": [true, true], "all_equal": true}}, '
+        '"verdict": "PASS", "engine_version": "0.1.0"}',
+    ),
+    (
+        ("--lambda", "2,1,1", "--mu", "4", "--p", "2", "--d", "1"),
+        '{"key": {"p": 2, "n": 3, "r": 4, "lambda": [2, 1, 1], "mu": [4, 0, 0], '
+        '"theorem": "1.1.1", "d": 1, "max_degree": null}, "report": {"lambda": [2, 1, 1], '
+        '"mu": [4, 0, 0], "p": 2, "d": 1, "target": "weyl", "theorem": "1.1.1", '
+        '"hypotheses": {"pd_gt_r_minus_l1": false, "mu2_le_l1": true, "all_hold": false}, '
+        '"ext_dims": [0, 1, 1, 0], "shifted_lambda": [4, 1, 1], "shifted_mu": [6, 0, 0], '
+        '"shifted_ext_dims": [0, 0, 0, 0], "per_degree_equal": [true, false, false, true], '
+        '"all_equal": false, "verdict": "SHARPNESS"}, "verdict": "SHARPNESS", '
+        '"engine_version": "0.1.0"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PERIODICITY_RECORDS,
+                         ids=["pass", "pass-max-degree", "sharpness"])
+def test_verify_periodicity_records_pinned(capsys, argv, expected):
+    code, out, _ = run(capsys, "verify", "--theorem", "1.1.1", *argv)
+    assert code == 0
+    assert json.dumps(json.loads(out)["result"]) == expected
+
+
+def test_verify_builds_each_complex_once(capsys, monkeypatch):
+    build = weylkit.ext.build_hom_complex
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(weylkit.ext, "build_hom_complex", counted)
+    code, out, _ = run(capsys, "verify", "--theorem", "1.1.1", "--p", "3", "--d", "1",
+                       "--lambda", "2,2", "--mu", "4", "--n", "3")
+    assert code == 0
+    assert "isomorphism" in json.loads(out)["result"]["report"]
+    # one build for the pair and one for its shift
+    assert [tuple(map(tuple, c)) for c in calls] == [((2, 2, 0), (4, 0, 0)), ((5, 2, 0), (7, 0, 0))]
+
+
+@pytest.mark.parametrize("theorem", ["6.1", "6.4"])
+def test_verify_max_degree_unused_is_usage_error(capsys, theorem):
+    # neither preset builds a truncated complex, so a degree bound would be
+    # silently ignored while still entering the cache key
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--p", "2", "--d", "1",
+                         "--lambda", "2,1,1", "--mu", "4", "--max-degree", "0")
+    assert code == 2 and out == ""
+    assert "--max-degree" in err
 
 
 # straighten --format json output recorded before the tableau text was parsed

@@ -16,7 +16,6 @@ from weylkit.ext import (
     euler_check,
     hom_dim_oracle,
     hook_ext_crosscheck,
-    verify_complex_isomorphism,
     verify_hom_bound,
     verify_periodicity,
 )
@@ -182,12 +181,15 @@ def test_hom_bound_grid():
 
 
 def test_verify_complex_isomorphism_cases():
-    rep = verify_complex_isomorphism((1, 1), (2, 0), 2, 1)
+    rep = verify_periodicity((1, 1), (2, 0), 2, 1, "weyl")["isomorphism"]
+    assert rep["all_equal"] and not rep["refused"]
+    rep = verify_periodicity((2, 1), (2, 1), 3, 1, "weyl")["isomorphism"]
     assert rep["all_equal"]
-    rep = verify_complex_isomorphism((2, 1), (2, 1), 3, 1)
-    assert rep["all_equal"]
-    refused = verify_complex_isomorphism((1, 1, 1, 1), (2, 2, 0, 0), 3, 1)
-    assert refused["refused"] and "reason" in refused
+    # hypotheses fail: the bijection need not be defined, so no check runs
+    rep = verify_periodicity((1, 1, 1, 1), (2, 2, 0, 0), 3, 1, "weyl")
+    assert not rep["hypotheses"]["all_hold"] and "isomorphism" not in rep
+    # the simple target has no entrywise check
+    assert "isomorphism" not in verify_periodicity((1, 1), (2, 0), 2, 1, "simple")
 
 
 @pytest.mark.parametrize("side", ["here", "there"])
@@ -206,11 +208,13 @@ def test_complex_isomorphism_catches_one_altered_entry(monkeypatch, side):
             hc.diffs[k] = SparseMod.from_entries(d.shape, d.rows, d.cols, vals, hc.p)
         return hc
 
-    case = ((2, 1, 1), (4, 0, 0), 3, 1)
-    assert verify_complex_isomorphism(*case)["all_equal"]
+    case = ((2, 1, 1), (4, 0, 0), 3, 1, "weyl")
+    assert verify_periodicity(*case)["isomorphism"]["all_equal"]
     monkeypatch.setattr(weylkit.ext, "build_hom_complex", altered_build)
-    with pytest.raises(TheoremViolationError):
-        verify_complex_isomorphism(*case)
+    # matched on the entrywise message, so that a FAIL of the dimension
+    # comparison cannot stand in for the isomorphism check
+    with pytest.raises(TheoremViolationError, match="entrywise"):
+        verify_periodicity(*case)
     assert len(calls) == 2
 
 
@@ -221,8 +225,9 @@ def test_periodicity_exhaustive_small_grid():
             for lam, mu in itertools.product(parts, parts):
                 flags = check_hypotheses(lam, mu, p, 1, "1.1.1")
                 if flags["all_hold"]:
-                    assert verify_periodicity(lam, mu, p, 1, "weyl")["verdict"] == "PASS"
-                    assert verify_complex_isomorphism(lam, mu, p, 1)["all_equal"]
+                    rep = verify_periodicity(lam, mu, p, 1, "weyl")
+                    assert rep["verdict"] == "PASS"
+                    assert rep["isomorphism"]["all_equal"]
                 flags = check_hypotheses(lam, mu, p, 1, "1.1.2")
                 if flags["all_hold"]:
                     assert verify_periodicity(lam, mu, p, 1, "simple")["verdict"] == "PASS"

@@ -45,21 +45,19 @@ def test_sy_degree_multiplicities_match_chain_counts():
 
 def test_sy_arrows_degree_one():
     summand = sy_degree((1, 1), 1)[0]
-    arrows = sy_arrows(summand, 2)
-    assert len(arrows) == 1
-    assert arrows[0].kind == "compose"
-    assert arrows[0].target == ((1, 1), ())
+    arrows = sy_arrows(summand.chain, 2)
+    assert arrows == [((), summand.chain[0], 1)]  # compose onto the empty chain of lam
 
 
 def test_sy_arrows_merge_margins():
     lam = (1, 1, 1)
     for summand in sy_degree(lam, 2):
-        arrows = sy_arrows(summand, 3)
-        composes = [a for a in arrows if a.kind == "compose"]
-        merges = [a for a in arrows if a.kind == "merge"]
-        assert len(composes) == 1
-        for arrow in merges:
-            merged = arrow.omega
+        arrows = sy_arrows(summand.chain, 3)
+        composes = [a for a in arrows if a[1] is not None]
+        merges = [a for a in arrows if a[1] is None]
+        assert composes == [(summand.chain[1:], summand.chain[0], 1)]
+        for target, _step, _scalar in merges:
+            (merged,) = target
             w1, w2 = summand.chain
             assert matrix_margins(merged)[1] == matrix_margins(w1)[1]
             assert matrix_margins(merged)[0] == matrix_margins(w2)[0]
@@ -85,9 +83,10 @@ def test_sy_arrows_match_theta_enumeration():
                 )
                 expected[mid] = (expected.get(mid, 0) - c) % p  # sign (-1)^1
         got = {}
-        for arrow in sy_arrows(summand, p):
-            if arrow.kind == "merge":
-                got[arrow.omega] = (got.get(arrow.omega, 0) + arrow.scalar) % p
+        for target, step, scalar in sy_arrows(summand.chain, p):
+            if step is None:
+                (merged,) = target
+                got[merged] = (got.get(merged, 0) + scalar) % p
         assert got == expected
 
 
