@@ -294,13 +294,10 @@ def hom_dim_oracle(lam, mu, p: int) -> int:
     blocks = []
     for family in box_presentation(lam):
         i0 = family.i - 1
-        rho = [[0] * n for _ in range(n)]
-        for j in range(n):
-            rho[j][j] = lam[j]
-        rho[i0][i0] = lam[i0]
+        rho = [[lam[s] if s == c else 0 for c in range(n)] for s in range(n)]
         rho[i0][i0 + 1] = family.t
-        rho[i0 + 1][i0 + 1] = lam[i0 + 1] - family.t
-        blocks.append(act_matrix(rho, mu, p))
+        rho[i0 + 1][i0 + 1] -= family.t
+        blocks.append(act_matrix(tuple(map(tuple, rho)), mu, p))
     if not blocks:
         return model.dim
     stacked = np.vstack(blocks)

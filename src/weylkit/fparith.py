@@ -60,6 +60,29 @@ def binom_mod(a: int, b: int, p: int) -> int:
     return result
 
 
+class BinomTable(dict):
+    """C(a, b) mod p for one prime p, keyed by (a, b) and filled on first use.
+
+    It has no fixed size, so a shifted instance, whose entries reach
+    r + p^d, adds only the entries it reads instead of a table quadratic
+    in p^d.
+    """
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        value = self[key] = binom_mod(key[0], key[1], self.p)
+        return value
+
+
+@lru_cache(maxsize=None)
+def binom_table(p: int) -> BinomTable:
+    """The binomial table mod p shared by every caller."""
+    return BinomTable(p)
+
+
 def multinom_mod(a: int, parts, p: int) -> int:
     """a! / (a_1! ... a_s!) mod p as a telescoping product of binomials."""
     parts = list(parts)

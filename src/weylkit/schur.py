@@ -9,19 +9,35 @@ total r.  The product is
 where the structure constant [theta] is a product of multinomial
 coefficients taken along the middle index.  The sum is empty (product zero)
 unless the column margin of w equals the row margin of pi.
+
+The product is computed without listing the tensors.  A multinomial
+telescopes into binomials of partial sums,
+
+    [theta] = prod_{s,q} prod_t C(sum_{u<=t} theta[s][u][q], theta[s][t][q]),
+
+so a dynamic program over the middle index t needs only the partial sum
+S = sum_{u<=t} theta[.][u][.] as its state.  Slice t of theta is any
+contingency matrix X with row sums column t of w and column sums row t of
+pi; it moves S to S + X and multiplies the coefficient by the binomials of
+that step.  Tensors that reach the same partial sum are merged by adding
+their coefficients mod p, and the final S is the term's matrix theta^2.
+``enumerate_theta`` and ``structure_constant_int`` compute the same sum
+tensor by tensor, as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from operator import add
 
-from .fparith import check_prime, multinom_mod
+from .fparith import binom_table, check_prime, multinom_mod
 from .shapes import (
     Matrix,
     diagonal_matrix,
     enumerate_compositions,
-    enumerate_theta,
+    enumerate_contingency,
     margin1,
     margin2,
     matrix_total,
@@ -52,17 +68,24 @@ def xi_product_terms(w: Matrix, pi: Matrix, p: int) -> tuple[tuple[Matrix, int],
     """
     if margin1(w) != margin2(pi):
         return ()
-    acc: dict[Matrix, int] = {}
-    for theta in enumerate_theta(w, pi):
-        c = structure_constant_int(theta, p)
-        if c == 0:
-            continue
-        n = len(theta)
-        mid = tuple(
-            tuple(sum(theta[s][t][q] for t in range(n)) for q in range(n)) for s in range(n)
-        )
-        acc[mid] = (acc.get(mid, 0) + c) % p
-    return tuple((m, c) for m, c in sorted(acc.items(), reverse=True) if c)
+    n = len(w)
+    binom = binom_table(p)
+    states = {(0,) * (n * n): 1}  # flattened partial sum S -> coefficient
+    for t in range(n):
+        slices = enumerate_contingency(tuple(row[t] for row in w), tuple(pi[t]))
+        options = [tuple(chain.from_iterable(x)) for x in slices]
+        merged: dict[tuple[int, ...], int] = {}
+        for s, c0 in states.items():
+            for x in options:
+                new = tuple(map(add, s, x))
+                c = c0
+                for a, b in zip(new, x):  # C(S'[s][q], X[s][q]), which is 1 where X is 0
+                    if b:
+                        c = c * binom[a, b] % p
+                merged[new] = merged.get(new, 0) + c
+        states = {s: c % p for s, c in merged.items() if c % p}
+    # sorted on the flattened S, which is the order of the row-tuple matrices
+    return tuple((tuple(zip(*[iter(s)] * n)), c) for s, c in sorted(states.items(), reverse=True))
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,20 @@ Conventions used throughout the package:
 * Every enumeration returns a duplicate-free list sorted by the flattened
   integer tuple in descending lexicographic order.  This single rule fixes
   all basis orderings downstream.
+
+Matrices with prescribed margins, which index the divided monomials of a
+weight slice, are enumerated in bulk with numpy, a row at a time for all
+partial matrices at once.  The semistandard tableaux are the count
+matrices among them that pass one vectorised column-strictness test.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
+
+import numpy as np
 
 Composition = tuple[int, ...]
 Matrix = tuple[Composition, ...]
@@ -194,24 +202,33 @@ def _flatten_tensor(t) -> tuple[int, ...]:
 def enumerate_contingency(row_sums: Composition, col_sums: Composition) -> tuple[Matrix, ...]:
     """All nonnegative integer matrices with the given row and column sums.
 
-    Empty when the two totals disagree.  Rows are generated in descending-lex
-    order, which makes the whole list descending-lex on the flattened matrix.
+    Empty when the two totals disagree.  The matrices grow a row at a time,
+    all at once in numpy: each composition of the next row sum that fits
+    under the column sums is tested against every partial matrix's remaining
+    column budget in one broadcast comparison, and the last row is the
+    budget that remains.  Bounding the candidates by the column sums keeps a
+    shifted row sum r + p^d from listing all of its compositions.  Partial
+    matrices stay in descending-lex order and each one's candidates come in
+    descending-lex order, so the whole list is descending-lex on the
+    flattened matrix.
     """
     if sum(row_sums) != sum(col_sums):
         return ()
+    if not row_sums or not col_sums:
+        return (((),) * len(row_sums),)
     n_cols = len(col_sums)
-
-    def rows(remaining_rows: tuple[int, ...], budget: tuple[int, ...]):
-        if not remaining_rows:
-            if all(b == 0 for b in budget):
-                yield ()
-            return
-        for row in _compositions_bounded(remaining_rows[0], budget):
-            new_budget = tuple(budget[j] - row[j] for j in range(n_cols))
-            for rest in rows(remaining_rows[1:], new_budget):
-                yield (row,) + rest
-
-    return tuple(rows(tuple(row_sums), tuple(col_sums)))
+    budget = np.array([col_sums], dtype=np.int64)
+    candidates: list[tuple[Composition, ...]] = []  # per row but the last
+    picks: list[np.ndarray] = []  # per row but the last, the candidate of each matrix
+    for total in row_sums[:-1]:
+        comps = tuple(_compositions_bounded(total, col_sums))
+        table = np.array(comps, dtype=np.int64).reshape(-1, n_cols)
+        state, pick = np.nonzero((table[None, :, :] <= budget[:, None, :]).all(axis=2))
+        picks = [earlier[state] for earlier in picks] + [pick]
+        budget = budget[state] - table[pick]
+        candidates.append(comps)
+    rows = [map(comps.__getitem__, pick.tolist()) for comps, pick in zip(candidates, picks)]
+    return tuple(zip(*rows, map(tuple, budget.tolist())))
 
 
 def enumerate_omega(alpha, beta) -> list[Matrix]:
@@ -229,31 +246,9 @@ def enumerate_theta(w, pi) -> list[Tensor]:
     n = len(w)
     if matrix_total(w) != matrix_total(pi):
         return []
-    slices = []
-    for t in range(n):
-        rows_t = tuple(w[s][t] for s in range(n))
-        cols_t = tuple(pi[t])
-        options = enumerate_contingency(rows_t, cols_t)
-        if not options:
-            return []
-        slices.append(options)
-
-    results: list[Tensor] = []
-
-    def assemble(t: int, chosen: list[Matrix]):
-        if t == n:
-            theta = tuple(
-                tuple(tuple(chosen[mid][s][q] for q in range(n)) for mid in range(n))
-                for s in range(n)
-            )
-            results.append(theta)
-            return
-        for option in slices[t]:
-            chosen.append(option)
-            assemble(t + 1, chosen)
-            chosen.pop()
-
-    assemble(0, [])
+    slices = [enumerate_contingency(tuple(row[t] for row in w), tuple(pi[t])) for t in range(n)]
+    # slice t of each choice is theta[.][t][.], so theta[s] is row s of every slice
+    results = [tuple(zip(*chosen)) for chosen in product(*slices)]
     results.sort(key=_flatten_tensor, reverse=True)
     return results
 
@@ -412,68 +407,22 @@ class Tableau:
 def enumerate_sst(mu: Composition, alpha: Composition) -> tuple[Tableau, ...]:
     """Semistandard tableaux of shape mu and weight alpha.
 
-    Row j+1 must fit strictly under row j: with rows encoded as count
-    vectors, the prefix counts of the lower row at entry value v may not
-    exceed the prefix counts of the upper row at v-1.
+    These are the count matrices with row margin alpha and column margin mu
+    in which row j+1 fits strictly under row j: with c the count matrix
+    summed down the entries, no entry 1 lies below the top row, and the
+    lower row's count of entries <= v never exceeds the upper row's count
+    of entries <= v-1.  So they are a filter of ``enumerate_contingency``,
+    in its order.
     """
     mu = validate_partition(mu)
     alpha = validate_composition(alpha)
     n = len(mu)
     if len(alpha) != n or sum(alpha) != sum(mu):
         raise ValueError(f"weight {alpha} incompatible with shape {mu}")
-
-    results: list[Tableau] = []
-    columns: list[Composition] = []
-
-    def fill(j: int, remaining: tuple[int, ...], prev_prefix: tuple[int, ...]):
-        if j == n or mu[j] == 0:
-            if all(x == 0 for x in remaining):
-                counts = tuple(
-                    tuple(columns[jj][i] if jj < len(columns) else 0 for jj in range(n))
-                    for i in range(n)
-                )
-                results.append(Tableau(counts))
-            return
-        # entries in row j+1 must be at least j+1 for columns to increase
-        bounds = tuple(0 if i < j else min(remaining[i], mu[j]) for i in range(n))
-        for row in _compositions_bounded(mu[j], bounds):
-            prefix = 0
-            ok = True
-            for i in range(n):
-                prefix += row[i]
-                upper = prev_prefix[i - 1] if i > 0 else 0
-                if prefix > upper:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            cum = []
-            acc = 0
-            for i in range(n):
-                acc += row[i]
-                cum.append(acc)
-            columns.append(row)
-            fill(j + 1, tuple(remaining[i] - row[i] for i in range(n)), tuple(cum))
-            columns.pop()
-
-    def fill_first():
-        # the top row is unconstrained from above
-        for row in _compositions_bounded(mu[0], tuple(min(alpha[i], mu[0]) for i in range(n))):
-            cum = []
-            acc = 0
-            for i in range(n):
-                acc += row[i]
-                cum.append(acc)
-            columns.append(row)
-            fill(1, tuple(alpha[i] - row[i] for i in range(n)), tuple(cum))
-            columns.pop()
-
-    if n > 0 and mu[0] > 0:
-        fill_first()
-    elif sum(alpha) == 0:
-        results.append(Tableau(tuple(tuple(0 for _ in range(n)) for _ in range(n))))
-    results.sort(key=Tableau.key, reverse=True)
-    return tuple(results)
+    counts = enumerate_contingency(alpha, mu)
+    cum = np.array(counts, dtype=np.int64).reshape(len(counts), n, n).cumsum(axis=1)
+    keep = (cum[:, :1, 1:] == 0).all(axis=(1, 2)) & (cum[:, 1:, 1:] <= cum[:, :-1, :-1]).all(axis=(1, 2))
+    return tuple(Tableau(counts[k]) for k in np.flatnonzero(keep).tolist())
 
 
 def kostka(mu, alpha) -> int:

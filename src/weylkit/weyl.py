@@ -25,7 +25,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .fparith import binom_mod, check_prime
+from .fparith import binom_mod, binom_table, check_prime
 from .linalg import SparseMod, kernel_basis_mod, rref_mod
 from .schur import xi_product_terms
 from .shapes import (
@@ -71,16 +71,6 @@ class WeightSpaceModel:
     def monomial_class(self, w: Matrix) -> np.ndarray:
         """Semistandard coordinates of the class of the divided monomial w."""
         return self.normal_form[self.index[w]]
-
-
-@lru_cache(maxsize=None)
-def _binom_table(r: int, p: int) -> np.ndarray:
-    # C(a, b) mod p for 0 <= a, b <= r
-    table = np.array(
-        [[binom_mod(a, b, p) for b in range(r + 1)] for a in range(r + 1)], dtype=np.int64
-    )
-    table.flags.writeable = False
-    return table
 
 
 def _sub_vectors(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +133,9 @@ def box_relation_vectors(mu, alpha, p: int) -> tuple[tuple[Matrix, ...], SparseM
     e, s = np.arange(w.size)[:, None], np.arange(n)
     rho[e, s, i[:, None]] += moved
     rho[e, s, i[:, None] + 1] -= moved
-    factors = _binom_table(mu[1], p)[col_next[owner], moved]  # column i+1 holds <= mu[1]
+    binom, top = binom_table(p), mu[1]  # column i+1 holds at most mu[1] boxes
+    dense = np.array([[binom[a, b] for b in range(top + 1)] for a in range(top + 1)], dtype=np.int64)
+    factors = dense[col_next[owner], moved]
     coeff = factors[:, 0]
     for k in range(1, n):
         coeff = coeff * factors[:, k] % p

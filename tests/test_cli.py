@@ -395,6 +395,20 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
+def _checkout_env():
+    """The environment of a command run from this checkout's ``src`` without an install."""
+    env = {k: v for k, v in os.environ.items() if k not in ("WEYLKIT_CACHE", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_package_runs_as_module():
+    argv = ["kostka", "--mu", "2,1", "--alpha", "1,1,1", "--n", "3"]
+    proc = subprocess.run([sys.executable, "-m", "weylkit", *argv], env=_checkout_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
+
+
 @pytest.mark.parametrize("argv, keep", [
     # `weylkit ext ... | head -c 30`: the reader leaves after 30 bytes of a
     # record of about 300 kB, more than a pipe holds
@@ -404,9 +418,7 @@ def test_parser_is_built_once():
     (["kostka", "--mu", "2,1", "--alpha", "1,1,1", "--n", "3"], 0),
 ], ids=["mid-record", "at-flush"])
 def test_closed_stdout_exits_quietly(argv, keep):
-    env = {k: v for k, v in os.environ.items() if k not in ("WEYLKIT_CACHE", "PYTHONUNBUFFERED")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "weylkit.cli", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "weylkit.cli", *argv], env=_checkout_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     head = proc.stdout.read(keep)
     proc.stdout.close()

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from weylkit.fparith import binom_mod, check_prime, is_prime, multinom_mod
+from weylkit.fparith import binom_mod, binom_table, check_prime, is_prime, multinom_mod
 
 PRIMES = (2, 3, 5, 7)
 
@@ -27,6 +27,7 @@ def test_lucas_against_big_integer_oracle():
         for a in range(61):
             for b in range(a + 1):
                 assert binom_mod(a, b, p) == math.comb(a, b) % p, (a, b, p)
+                assert binom_table(p)[a, b] == math.comb(a, b) % p, (a, b, p)
 
 
 def test_shift_congruence_binomial():

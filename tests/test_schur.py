@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylkit.schur import (
     SchurElement,
@@ -9,6 +10,7 @@ from weylkit.schur import (
     identity_element,
     structure_constant_int,
     xi_product,
+    xi_product_terms,
 )
 from weylkit.shapes import (
     diagonal_matrix,
@@ -20,6 +22,7 @@ from weylkit.shapes import (
     is_upper_triangular,
     matrix_margins,
     plus_shift_matrix,
+    tensor_margins,
     transpose_matrix,
 )
 
@@ -81,6 +84,41 @@ def test_xi_product_examples():
         alpha = matrix_margins(w)[1]
         assert xi_product(diagonal_matrix(alpha), w, 3).terms == ((w, 1),)
     assert xi_product(((3,),), ((3,),), 2).terms == ((((3,),), 1),)
+
+
+def theta_sum(w, pi, p):
+    """xi_w . xi_pi tensor by tensor: [theta] summed onto each middle margin."""
+    acc = {}
+    for theta in enumerate_theta(w, pi):
+        mid = tensor_margins(theta)[1]
+        acc[mid] = (acc.get(mid, 0) + structure_constant_int(theta, p)) % p
+    return tuple((m, c) for m, c in sorted(acc.items(), reverse=True) if c)
+
+
+@st.composite
+def composable_pairs(draw):
+    """(w, pi, p) with n in {2, 3, 4}, total r <= 6 and margin1(w) == margin2(pi)."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    r = draw(st.integers(0, 6))
+    comps = enumerate_compositions(n, r)
+    w = draw(st.sampled_from(enumerate_omega(draw(st.sampled_from(comps)), draw(st.sampled_from(comps)))))
+    alpha = matrix_margins(w)[0]
+    pi = draw(st.sampled_from(enumerate_omega(alpha, draw(st.sampled_from(comps)))))
+    return w, pi, draw(st.sampled_from((2, 3, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(composable_pairs(), st.sampled_from((0, 1, 3)))
+def test_xi_product_terms_matches_theta_sum(case, d):
+    w, pi, p = case
+    if d:  # entries up to r + p^d index the binomials
+        w, pi = plus_shift_matrix(w, d, p), plus_shift_matrix(pi, d, p)
+    assert xi_product_terms(w, pi, p) == theta_sum(w, pi, p)
+
+
+def test_xi_product_terms_keeps_its_cache_info():
+    xi_product_terms(((1, 0), (0, 1)), ((1, 0), (0, 1)), 2)
+    assert xi_product_terms.cache_info().currsize >= 1
 
 
 def test_non_composable_product_is_zero():

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weylkit.shapes import (
     Tableau,
@@ -9,6 +9,7 @@ from weylkit.shapes import (
     diagonal_matrix,
     dominates,
     enumerate_compositions,
+    enumerate_contingency,
     enumerate_dominating,
     enumerate_omega,
     enumerate_partitions,
@@ -119,6 +120,35 @@ def test_enumerate_omega_examples():
     assert set(two) == {((1, 0), (0, 1)), ((0, 1), (1, 0))}
 
 
+def contingency_bruteforce(rows, cols):
+    """Every matrix with entries bounded by its margins, kept when the margins
+    match, in descending-lex order of the flattened matrix."""
+    cells = [range(min(a, b) + 1) for a in rows for b in cols]
+    out = []
+    for flat in itertools.product(*cells):
+        mat = tuple(tuple(flat[i * len(cols):(i + 1) * len(cols)]) for i in range(len(rows)))
+        if tuple(map(sum, mat)) == rows and tuple(sum(row[j] for row in mat) for j in range(len(cols))) == cols:
+            out.append(mat)
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ((), ()), ((), (0, 0)), ((0, 0), ()), ((0,), (0,)), ((0, 0, 0), (0, 0)),
+    ((2, 1), (1, 1)), ((1,), (2,)),  # mismatched totals
+    ((3,), (3,)), ((4,), (1, 0, 3)), ((1, 0, 3), (4,)),  # one row or one column
+    ((1, 1, 1, 1), (1, 1, 1, 1)), ((2, 0, 1), (0, 3, 0)),
+])
+def test_enumerate_contingency_edge_cases(rows, cols):
+    assert enumerate_contingency(rows, cols) == contingency_bruteforce(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=3), st.lists(st.integers(0, 2), max_size=3))
+def test_enumerate_contingency_matches_bruteforce(rows, cols):
+    rows, cols = tuple(rows), tuple(cols)
+    assert enumerate_contingency(rows, cols) == contingency_bruteforce(rows, cols)
+
+
 def test_enumerate_omega_margins_and_determinism():
     for alpha in enumerate_compositions(3, 3):
         for beta in enumerate_compositions(3, 3):
@@ -203,14 +233,16 @@ def test_enumerate_sst_examples():
 
 
 def test_sst_are_semistandard_and_sorted():
-    for mu in enumerate_partitions(3, 5):
-        for alpha in enumerate_compositions(3, 5):
-            tabs = enumerate_sst(mu, alpha)
-            keys = [t.key() for t in tabs]
-            assert keys == sorted(keys, reverse=True)
-            for t in tabs:
-                assert t.is_semistandard()
-                assert t.shape == mu and t.weight == alpha
+    for n, r in ((2, 6), (3, 5), (4, 5)):
+        for mu in enumerate_partitions(n, r):
+            for alpha in enumerate_compositions(n, r):
+                tabs = enumerate_sst(mu, alpha)
+                keys = [t.key() for t in tabs]
+                assert keys == sorted(keys, reverse=True)
+                for t in tabs:
+                    assert t.shape == mu and t.weight == alpha
+                filtered = [Tableau(w) for w in enumerate_omega(alpha, mu)]
+                assert list(tabs) == [t for t in filtered if t.is_semistandard()]
 
 
 def test_kostka_symmetry_under_weight_permutation():
