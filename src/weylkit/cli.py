@@ -30,6 +30,7 @@ from . import __version__
 from .ext import (
     MAX_BASIS_DEFAULT,
     MAX_R_DEFAULT,
+    THEOREMS,
     ResourceLimitError,
     TheoremViolationError,
     build_hom_complex,
@@ -59,15 +60,14 @@ from .weyl import build_weight_space, gram_data, simple_dim, straighten
 CACHE_ENV = "WEYLKIT_CACHE"
 
 
-def _partitions_from(args, need_mu=True):
+def _partitions_from(args):
     lam = parse_composition(args.lam)
-    mu = parse_composition(args.mu) if need_mu else None
-    n = args.n or max(len(lam), len(mu) if mu else 0)
+    mu = parse_composition(args.mu)
+    n = args.n or max(len(lam), len(mu))
     lam = validate_partition(pad(lam, n))
-    if mu is not None:
-        mu = validate_partition(pad(mu, n))
-        if sum(mu) != sum(lam):
-            raise ValueError(f"lambda and mu must have equal totals, got {lam} and {mu}")
+    mu = validate_partition(pad(mu, n))
+    if sum(mu) != sum(lam):
+        raise ValueError(f"lambda and mu must have equal totals, got {lam} and {mu}")
     return lam, mu, n
 
 
@@ -344,6 +344,8 @@ def cmd_schur_mul(args) -> int:
 
 
 def cmd_resolve_info(args) -> int:
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must be nonnegative")
     lam = validate_partition(parse_composition(args.lam, n=args.n))
     length = sy_max_degree(lam)
     space = chain_space(lam)
@@ -369,12 +371,10 @@ def cmd_resolve_info(args) -> int:
 # parser
 
 
-def _add_common(sub, mu=True, prime=True):
+def _add_common(sub):
     sub.add_argument("--lambda", dest="lam", required=True, help="partition, e.g. 8,3")
-    if mu:
-        sub.add_argument("--mu", required=True, help="partition, e.g. 11")
-    if prime:
-        sub.add_argument("--p", type=int, required=True, help="prime modulus")
+    sub.add_argument("--mu", required=True, help="partition, e.g. 11")
+    sub.add_argument("--p", type=int, required=True, help="prime modulus")
     sub.add_argument("--n", type=int, default=None, help="rank; defaults to the parts given")
 
 
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     ext.set_defaults(func=cmd_ext)
 
     verify = subs.add_parser("verify", parents=[cached], help="verify a periodicity statement")
-    verify.add_argument("--theorem", choices=("1.1.1", "1.1.2", "6.1", "6.4"), required=True)
+    verify.add_argument("--theorem", choices=THEOREMS, required=True)
     _add_common(verify)
     verify.add_argument("--d", type=int, required=True, help="shift exponent")
     verify.add_argument("--max-degree", type=int, default=None,

@@ -27,6 +27,7 @@ from .shapes import (
     Composition,
     Matrix,
     chain_space,
+    enumerate_compositions,
     is_partition,
     validate_partition,
 )
@@ -98,30 +99,6 @@ class HookResolution:
         return self.terms[i]
 
 
-def _positive_compositions(total: int, length: int, first_range) -> list[Composition]:
-    out = []
-    for first in first_range:
-        rest_total = total - first
-        if rest_total < length - 1 or (length == 1 and rest_total != 0):
-            continue
-        if length == 1:
-            out.append((first,))
-            continue
-        for rest in _positive_rest(rest_total, length - 1):
-            out.append((first,) + rest)
-    out.sort(reverse=True)
-    return out
-
-
-def _positive_rest(total: int, length: int):
-    if length == 1:
-        yield (total,)
-        return
-    for head in range(total - length + 1, 0, -1):
-        for tail in _positive_rest(total - head, length - 1):
-            yield (head,) + tail
-
-
 @lru_cache(maxsize=None)
 def hook_resolution(a: int, b: int) -> HookResolution:
     """The length-b resolution of the hook (a, 1^b)."""
@@ -130,12 +107,18 @@ def hook_resolution(a: int, b: int) -> HookResolution:
     terms = []
     r = a + b
     for i in range(b + 1):
+        # positive compositions of r into b + 1 - i parts are c + 1 for the
+        # compositions c of the remainder, in the same descending-lex order
         length = b + 1 - i
-        degree_terms = _positive_compositions(r, length, range(min(a + i, r), a - 1, -1))
+        degree_terms = tuple(
+            tuple(x + 1 for x in c)
+            for c in enumerate_compositions(length, r - length)
+            if a <= c[0] + 1 <= a + i
+        )
         for alpha in degree_terms:
             if any(x > i + 1 for x in alpha[1:]):
                 raise AssertionError(f"hook term {alpha} violates the part bound at degree {i}")
-        terms.append(tuple(degree_terms))
+        terms.append(degree_terms)
     return HookResolution(a, b, tuple(terms))
 
 

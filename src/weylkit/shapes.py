@@ -55,8 +55,8 @@ def is_partition(parts) -> bool:
     return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
 
-def validate_partition(parts, n: int | None = None, r: int | None = None) -> Composition:
-    parts = validate_composition(parts, n=n, r=r)
+def validate_partition(parts) -> Composition:
+    parts = validate_composition(parts)
     if not is_partition(parts):
         raise ValueError(f"{parts} is not weakly decreasing")
     return parts
@@ -141,12 +141,12 @@ def validate_matrix(w, n: int | None = None) -> Matrix:
 
 def margin1(w) -> Composition:
     """Column sums."""
-    return tuple(sum(row[t] for row in w) for t in range(len(w)))
+    return tuple(map(sum, zip(*w)))
 
 
 def margin2(w) -> Composition:
     """Row sums."""
-    return tuple(sum(row) for row in w)
+    return tuple(map(sum, w))
 
 
 def matrix_margins(w) -> tuple[Composition, Composition]:
@@ -169,10 +169,6 @@ def is_upper_triangular(w) -> bool:
 
 def is_lower_triangular(w) -> bool:
     return all(w[s][t] == 0 for s in range(len(w)) for t in range(s + 1, len(w)))
-
-
-def is_diagonal(w) -> bool:
-    return is_upper_triangular(w) and is_lower_triangular(w)
 
 
 def diagonal_matrix(nu) -> Matrix:
@@ -253,29 +249,23 @@ def enumerate_theta(w, pi) -> list[Tensor]:
     return results
 
 
-@lru_cache(maxsize=None)
-def enumerate_upper_triangular(row_sums: Composition, skip_diagonal: bool = True) -> tuple[Matrix, ...]:
-    """Upper triangular matrices with the given row sums.
+def enumerate_upper_triangular(row_sums: Composition) -> tuple[Matrix, ...]:
+    """Upper triangular matrices with the given row sums and at least one
+    nonzero entry strictly above the diagonal: the row-sum fibre of the span
+    usually written Lambda^1.
 
-    With ``skip_diagonal`` the purely diagonal matrix is excluded, i.e. the
-    result is the row-sum fibre of the span usually written Lambda^1: upper
-    triangular with at least one nonzero entry strictly above the diagonal.
+    Row s is (0,) * s followed by a composition of row_sums[s] into n - s
+    parts, so the matrices are the product of the rows' choices.  Row 0
+    varies slowest and each row's choices come in descending-lex order, so
+    the product is descending-lex on the flattened matrix; its first element
+    puts each row sum on the diagonal and is dropped.
     """
     n = len(row_sums)
-
-    def build(s: int):
-        if s == n:
-            yield ()
-            return
-        width = n - s
-        for tail in _compositions_bounded(row_sums[s], (row_sums[s],) * width):
-            row = (0,) * s + tail
-            for rest in build(s + 1):
-                yield (row,) + rest
-
-    mats = [m for m in build(0) if not (skip_diagonal and is_diagonal(m))]
-    mats.sort(key=_flatten_matrix, reverse=True)
-    return tuple(mats)
+    rows = [
+        [(0,) * s + c for c in _compositions_bounded(total, (total,) * (n - s))]
+        for s, total in enumerate(row_sums)
+    ]
+    return tuple(product(*rows))[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +432,18 @@ class ChainSpace:
 
     The chain resolution of lam has one degree-k summand per length-k chain
     from one of ``tops``: lam itself (the empty chain), then the weights
-    strictly dominating it.  The steps out of a weight are found once;
-    counting and materialisation are memoised separately because the counts
-    are needed for cheap resource estimates.
+    strictly dominating it.  The steps out of a weight are found once.  Each
+    weight's count profile, its number of chains down to lam at every length,
+    gives both the counts used for cheap resource estimates and the
+    resolution length; the chains themselves are materialised separately.
     """
 
     def __init__(self, lam: Composition):
         self.lam = tuple(lam)
         self.tops = (self.lam, *enumerate_strictly_dominating(self.lam))
         self._step_cache: dict[Composition, tuple[tuple[Matrix, Composition], ...]] = {}
-        self._count_cache: dict[tuple[Composition, int], int] = {}
+        self._profile_cache: dict[Composition, tuple[int, ...]] = {}
         self._chain_cache: dict[tuple[Composition, int], tuple[tuple[Matrix, ...], ...]] = {}
-        self._length: int | None = None
 
     def _steps(self, alpha: Composition) -> tuple[tuple[Matrix, Composition], ...]:
         """The steps w out of alpha with their column sums, keeping only those
@@ -463,14 +453,21 @@ class ChainSpace:
             self._step_cache[alpha] = tuple((w, b) for w, b in pairs if dominates(b, self.lam))
         return self._step_cache[alpha]
 
+    def _profile(self, alpha: Composition) -> tuple[int, ...]:
+        """Entry k is the number of length-k chains from alpha down to lam."""
+        if alpha not in self._profile_cache:
+            profile = [int(alpha == self.lam)]
+            for _, beta in self._steps(alpha):
+                below = self._profile(beta)
+                profile.extend([0] * (len(below) + 1 - len(profile)))
+                for k, c in enumerate(below, 1):
+                    profile[k] += c
+            self._profile_cache[alpha] = tuple(profile)
+        return self._profile_cache[alpha]
+
     def count(self, alpha: Composition, k: int) -> int:
-        alpha = tuple(alpha)
-        if k == 0:
-            return int(alpha == self.lam)
-        key = (alpha, k)
-        if key not in self._count_cache:
-            self._count_cache[key] = sum(self.count(beta, k - 1) for _, beta in self._steps(alpha))
-        return self._count_cache[key]
+        profile = self._profile(tuple(alpha))
+        return profile[k] if 0 <= k < len(profile) else 0
 
     def chains(self, alpha: Composition, k: int) -> tuple[tuple[Matrix, ...], ...]:
         alpha = tuple(alpha)
@@ -484,15 +481,8 @@ class ChainSpace:
         return self._chain_cache[key]
 
     def max_length(self) -> int:
-        """Largest k for which some chain exists: the longest path from a top
-        down to lam.  Ascending lex order refines dominance, so every step's
-        target comes before the weight it leaves."""
-        if self._length is None:
-            longest: dict[Composition, int] = {}
-            for alpha in sorted(self.tops):
-                longest[alpha] = max((1 + longest[b] for _, b in self._steps(alpha)), default=0)
-            self._length = max(longest.values())
-        return self._length
+        """Largest k for which some chain exists from a top down to lam."""
+        return max(len(self._profile(alpha)) for alpha in self.tops) - 1
 
 
 @lru_cache(maxsize=None)

@@ -273,7 +273,9 @@ def test_criterion_6_property_suites():
         for n in (2, 3):
             r = 3 if n == 3 else 4
             comps = enumerate_compositions(n, r)
-            uppers = [w for aa in comps for w in enumerate_upper_triangular(aa, False)]
+            uppers = [
+                w for aa in comps for w in (diagonal_matrix(aa), *enumerate_upper_triangular(aa))
+            ]
             everything = {w for aa in comps for bb in comps for w in enumerate_omega(aa, bb)}
             for w in uppers:
                 for pi in everything:

@@ -426,3 +426,11 @@ def test_closed_stdout_exits_quietly(argv, keep):
     assert proc.wait(timeout=60) == 0, err
     assert err == b""
     assert len(head) == keep
+
+
+def test_resolve_info_negative_max_degree_is_usage_error(capsys):
+    # ext and verify reject a negative degree bound; resolve-info used to
+    # print the length with no degree lines and exit 0
+    code, out, err = run(capsys, "resolve-info", "--lambda", "2,1", "--max-degree", "-1")
+    assert code == 2 and out == ""
+    assert "--max-degree" in err

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -34,6 +35,15 @@ def test_sy_degree_examples():
     assert sy_degree((4, 0), 3) == []
 
 
+def _chain_space_grid():
+    # every partition with n <= 4 parts and total r <= 7, and its shifts by p = 2, 3
+    for n in range(1, 5):
+        for r in range(8):
+            for lam in enumerate_partitions(n, r):
+                shifts = [plus_shift_composition(lam, 1, p) for p in (2, 3)] if r else []
+                yield from [lam] + shifts
+
+
 def test_sy_degree_multiplicities_match_chain_counts():
     lam = (2, 1, 0)
     for k in range(1, sy_max_degree(lam) + 1):
@@ -41,6 +51,11 @@ def test_sy_degree_multiplicities_match_chain_counts():
         for alpha in enumerate_strictly_dominating(lam):
             got = sum(1 for s in layer if s.top_weight == alpha)
             assert got == chain_space(lam).count(alpha, k) == len(chain_space(lam).chains(alpha, k))
+    for mu in _chain_space_grid():
+        space = chain_space(mu)
+        for alpha in space.tops:
+            for k in range(space.max_length() + 2):
+                assert space.count(alpha, k) == len(space.chains(alpha, k)), (mu, alpha, k)
 
 
 def test_sy_arrows_degree_one():
@@ -108,6 +123,21 @@ def test_hook_resolution_terms():
                 assert all(x >= 1 for x in alpha)
                 assert all(x <= i + 1 for x in alpha[1:])
 
+    # positive compositions of a + b into b + 1 - i parts with first part in
+    # [a, a + i], in descending order
+    for a in range(1, 7):
+        for b in range(6):
+            res = hook_resolution(a, b)
+            for i in range(b + 1):
+                length = b + 1 - i
+                parts = range(1, a + b + 2 - length)  # the other parts are at least 1
+                brute = sorted(
+                    (c for c in itertools.product(parts, repeat=length)
+                     if sum(c) == a + b and a <= c[0] <= a + i),
+                    reverse=True,
+                )
+                assert res.degree(i) == tuple(brute), (a, b, i)
+
 
 def test_hook_splits():
     assert hook_splits((4, 1), 0) == [(3, 1), (2, 2), (1, 3)]
@@ -147,27 +177,23 @@ def test_resolution_finiteness():
 
 
 def _longest_by_counting(lam):
-    # the largest k with a length-k chain from some top, found by counting
+    # the largest k with a length-k chain from some top, found by listing
     # chains at every length until none is left
     space = chain_space(lam)
     tops = enumerate_strictly_dominating(lam)
     k = 0
-    while any(space.count(a, k + 1) for a in tops):
+    while any(len(space.chains(a, k + 1)) for a in tops):
         k += 1
     return k
 
 
 def test_max_length_is_longest_chain():
-    for n in range(1, 5):
-        for r in range(8):
-            for lam in enumerate_partitions(n, r):
-                shifts = [plus_shift_composition(lam, 1, p) for p in (2, 3)] if r else []
-                for mu in [lam] + shifts:
-                    length = chain_space(mu).max_length()
-                    assert length == _longest_by_counting(mu), mu
-                    assert sy_degree(mu, length + 1) == []
-                    if length:
-                        assert sy_degree(mu, length)
+    for mu in _chain_space_grid():
+        length = chain_space(mu).max_length()
+        assert length == _longest_by_counting(mu), mu
+        assert sy_degree(mu, length + 1) == []
+        if length:
+            assert sy_degree(mu, length)
 
 
 # recorded before the chain layout moved behind ChainSpace: resolution

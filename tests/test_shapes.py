@@ -303,6 +303,23 @@ def test_chains_against_pair_bruteforce():
     assert chain_space(lam).count(alpha, k) == len(brute)
 
 
+def test_enumerate_upper_triangular_matches_bruteforce():
+    # upper triangular, the given row sums, not diagonal; descending-lex on
+    # the flattened matrix, the order the chain layout pins depend on
+    for n in range(1, 5):
+        for r in range(6):
+            for alpha in enumerate_compositions(n, r):
+                # every entry bounded by its row sum, zero below the diagonal
+                ranges = [range(alpha[s] + 1) if t >= s else (0,) for s in range(n) for t in range(n)]
+                brute = []
+                for flat in itertools.product(*ranges):
+                    w = tuple(flat[s * n : s * n + n] for s in range(n))
+                    if tuple(map(sum, w)) == alpha and w != diagonal_matrix(alpha):
+                        brute.append(w)
+                brute.sort(key=lambda w: sum(w, ()), reverse=True)
+                assert enumerate_upper_triangular(alpha) == tuple(brute), alpha
+
+
 def test_chain_relations_hold():
     lam = (2, 1, 0)
     for alpha in enumerate_strictly_dominating(lam):
@@ -346,7 +363,9 @@ def test_theta_shift_bijection():
         for n in (2, 3):
             for r in (2, 3):
                 comps = enumerate_compositions(n, r)
-                uppers = [w for a in comps for w in enumerate_upper_triangular(a, False)]
+                uppers = [
+                    w for a in comps for w in (diagonal_matrix(a), *enumerate_upper_triangular(a))
+                ]
                 everything = {
                     w for a in comps for b in comps for w in enumerate_omega(a, b)
                 }
