@@ -107,13 +107,13 @@ def hook_resolution(a: int, b: int) -> HookResolution:
     terms = []
     r = a + b
     for i in range(b + 1):
-        # positive compositions of r into b + 1 - i parts are c + 1 for the
-        # compositions c of the remainder, in the same descending-lex order
-        length = b + 1 - i
-        degree_terms = tuple(
-            tuple(x + 1 for x in c)
-            for c in enumerate_compositions(length, r - length)
-            if a <= c[0] + 1 <= a + i
+        # the first part runs down from a + i to a; the rest is a positive
+        # composition of r - first into b - i parts, c + 1 for the
+        # compositions c of a + i - first, in the same descending-lex order
+        degree_terms = ((r,),) if i == b else tuple(
+            (first,) + tuple(x + 1 for x in c)
+            for first in range(a + i, a - 1, -1)
+            for c in enumerate_compositions(b - i, a + i - first)
         )
         for alpha in degree_terms:
             if any(x > i + 1 for x in alpha[1:]):

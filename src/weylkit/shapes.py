@@ -262,7 +262,7 @@ def enumerate_upper_triangular(row_sums: Composition) -> tuple[Matrix, ...]:
     """
     n = len(row_sums)
     rows = [
-        [(0,) * s + c for c in _compositions_bounded(total, (total,) * (n - s))]
+        [(0,) * s + c for c in enumerate_compositions(n - s, total)]
         for s, total in enumerate(row_sums)
     ]
     return tuple(product(*rows))[1:]

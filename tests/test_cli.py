@@ -180,7 +180,9 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
 
 
 # ``result`` payloads of the hook preset, recorded before the chain and hook
-# Hom complexes shared one assembly path; no benchmark workload runs this preset
+# Hom complexes shared one assembly path (the d = 12 one, whose shifted hook
+# has first part 4098, before the hook terms came from enumerate_compositions);
+# no benchmark workload runs this preset
 HOOK_RECORDS = [
     (
         ("--lambda", "2,1,1", "--mu", "4", "--n", "4", "--p", "2", "--d", "1"),
@@ -227,10 +229,25 @@ HOOK_RECORDS = [
         '"hypotheses": {"lambda_is_hook": true, "max_degree_covered": 2, "all_hold": true}}, '
         '"verdict": "PASS", "engine_version": "0.1.0"}',
     ),
+    (
+        ("--lambda", "2,1,1", "--mu", "4,0,0", "--p", "2", "--d", "12"),
+        '{"key": {"p": 2, "n": 3, "r": 4, "lambda": [2, 1, 1], "mu": [4, 0, 0], '
+        '"theorem": "6.4", "d": 12, "max_degree": null}, "report": {"a": 2, "b": 2, "mu": '
+        '[4, 0, 0], "p": 2, "mu2_le_l1": true, "sy_ext_dims": [0, 1, 1, 0], '
+        '"hook_ext_dims": [0, 1, 1, 0], "per_degree_equal": [true, true, true, true], '
+        '"methods_agree": true, "vanishing_beyond_b": true, "shifted_checks": [{"d": 12, '
+        '"ext_dims": [0, 1, 1], "shifted_ext_dims": [0, 1, 1], "degrees": [{"degree": 0, '
+        '"stated": true, "supported": true, "equal": true}, {"degree": 1, "stated": true, '
+        '"supported": true, "equal": true}, {"degree": 2, "stated": true, "supported": '
+        'true, "equal": true}], "stated_bound_holds": true, "supported_bound_holds": '
+        'true}], "stated_bound_holds": true, "supported_bound_holds": true, "verdict": '
+        '"PASS", "hypotheses": {"lambda_is_hook": true, "max_degree_covered": 4095, '
+        '"all_hold": true}}, "verdict": "PASS", "engine_version": "0.1.0"}',
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, expected", HOOK_RECORDS, ids=["p2-d1", "p2-d2", "p3-d1"])
+@pytest.mark.parametrize("argv, expected", HOOK_RECORDS, ids=["p2-d1", "p2-d2", "p3-d1", "p2-d12"])
 def test_verify_hook_records_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, "verify", "--theorem", "6.4", *argv)
     assert code == 0

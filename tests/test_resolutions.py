@@ -138,6 +138,14 @@ def test_hook_resolution_terms():
                 )
                 assert res.degree(i) == tuple(brute), (a, b, i)
 
+    # a hook shifted by 2^12: the terms are bounded by the first part's
+    # range, not listed from every composition of a + b
+    res = hook_resolution(4098, 3)
+    assert res.degree(0) == ((4098, 1, 1, 1),)
+    assert res.degree(1) == ((4099, 1, 1), (4098, 2, 1), (4098, 1, 2))
+    assert len(res.degree(2)) == 3 and res.degree(2)[0] == (4100, 1)
+    assert res.degree(3) == ((4101,),)
+
 
 def test_hook_splits():
     assert hook_splits((4, 1), 0) == [(3, 1), (2, 2), (1, 3)]
