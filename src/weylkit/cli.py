@@ -378,9 +378,13 @@ def _add_common(sub):
     sub.add_argument("--n", type=int, default=None, help="rank; defaults to the parts given")
 
 
+def _add_out(sub):
+    sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
+
 def _add_output(sub, default_format="json"):
     sub.add_argument("--format", choices=("json", "table"), default=default_format)
-    sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
+    _add_out(sub)
 
 
 @lru_cache(maxsize=1)
@@ -446,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     ko.add_argument("--mu", required=True)
     ko.add_argument("--alpha", required=True)
     ko.add_argument("--n", type=int, default=None)
-    _add_output(ko, default_format="table")
+    _add_out(ko)
     ko.set_defaults(func=cmd_kostka)
 
     pk = subs.add_parser("p-kostka", help="weight multiplicity in the simple head")
@@ -454,14 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--mu", required=True)
     pk.add_argument("--alpha", required=True)
     pk.add_argument("--n", type=int, default=None)
-    _add_output(pk, default_format="table")
+    _add_out(pk)
     pk.set_defaults(func=cmd_p_kostka)
 
     sm = subs.add_parser("schur-mul", help="product of two basis symbols")
     sm.add_argument("--p", type=int, required=True)
     sm.add_argument("--omega", required=True, help="matrix, e.g. 1,1/0,0")
     sm.add_argument("--pi", required=True)
-    _add_output(sm, default_format="table")
+    _add_out(sm)
     sm.set_defaults(func=cmd_schur_mul)
 
     ri = subs.add_parser("resolve-info", help="summand counts of the chain resolution")

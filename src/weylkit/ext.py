@@ -31,6 +31,7 @@ from .shapes import (
     Composition,
     chain_space,
     dominates,
+    enumerate_sst,
     kostka,
     pad,
     plus_shift_composition,
@@ -41,6 +42,11 @@ from .weyl import act_matrix, act_matrix_simple, build_weight_space, gram_data
 
 MAX_BASIS_DEFAULT = 200_000
 MAX_R_DEFAULT = 20
+# Largest accepted max_degree, far above any resolution length: each step of
+# a chain raises sum(i * alpha_i) by at least 1, so a chain down to lam has
+# length at most r(r - 1)/2, which is 190 at r = MAX_R_DEFAULT.  Degrees past
+# the length only add zeros to ext_dims.
+MAX_DEGREE = 100_000
 
 
 class ResourceLimitError(RuntimeError):
@@ -240,8 +246,8 @@ def build_hom_complex(
     (target="weyl") or its simple head (target="simple")."""
     lam, mu = _check_pair(lam, mu)
     check_prime(p)
-    if max_degree is not None and max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
+    if max_degree is not None and not 0 <= max_degree <= MAX_DEGREE:
+        raise ValueError(f"max_degree must lie in [0, {MAX_DEGREE}], got {max_degree}")
     if sum(lam) > max_r:
         raise ResourceLimitError(f"degree {sum(lam)} exceeds the cap {max_r}")
 
@@ -362,6 +368,29 @@ def _verdict(all_equal: bool, hypotheses_hold: bool) -> str:
     return "SHARPNESS" if not hypotheses_hold else "FAIL"
 
 
+def _shift_report(head: dict, dims: list[int], shifted_dims: list[int], shifted_pair: dict,
+                  failure: str) -> dict:
+    """The report comparing the dims of a pair with those of its shift,
+    degree by degree: ``head`` (the pair, p, d, ... and "hypotheses"), the
+    padded dims with ``shifted_pair`` between them, the comparison and the
+    verdict.  On FAIL, raises TheoremViolationError with ``failure``."""
+    dims, shifted_dims = _pad_equal(dims, shifted_dims)
+    per_degree = [x == y for x, y in zip(dims, shifted_dims)]
+    all_equal = all(per_degree)
+    report = {
+        **head,
+        "ext_dims": dims,
+        **shifted_pair,
+        "shifted_ext_dims": shifted_dims,
+        "per_degree_equal": per_degree,
+        "all_equal": all_equal,
+        "verdict": _verdict(all_equal, head["hypotheses"]["all_hold"]),
+    }
+    if report["verdict"] == "FAIL":
+        raise TheoremViolationError(failure, report)
+    return report
+
+
 def verify_periodicity(
     lam,
     mu,
@@ -386,30 +415,14 @@ def verify_periodicity(
     lam_s = plus_shift_composition(lam, d, p)
     mu_s = plus_shift_composition(mu, d, p)
     there = build_hom_complex(lam_s, mu_s, p, target, max_degree)
-    dims_a, dims_b = _pad_equal(here.ext_dims(), there.ext_dims())
-    per_degree = [x == y for x, y in zip(dims_a, dims_b)]
-    all_equal = all(per_degree)
-    report = {
-        "lambda": list(lam),
-        "mu": list(mu),
-        "p": p,
-        "d": d,
-        "target": target,
-        "theorem": theorem,
-        "hypotheses": flags,
-        "ext_dims": dims_a,
-        "shifted_lambda": list(lam_s),
-        "shifted_mu": list(mu_s),
-        "shifted_ext_dims": dims_b,
-        "per_degree_equal": per_degree,
-        "all_equal": all_equal,
-        "verdict": _verdict(all_equal, flags["all_hold"]),
-    }
-    if report["verdict"] == "FAIL":
-        raise TheoremViolationError(
-            f"periodicity failed with hypotheses satisfied: {lam} -> {mu}, p={p}, d={d}",
-            report,
-        )
+    report = _shift_report(
+        {"lambda": list(lam), "mu": list(mu), "p": p, "d": d, "target": target,
+         "theorem": theorem, "hypotheses": flags},
+        here.ext_dims(),
+        there.ext_dims(),
+        {"shifted_lambda": list(lam_s), "shifted_mu": list(mu_s)},
+        f"periodicity failed with hypotheses satisfied: {lam} -> {mu}, p={p}, d={d}",
+    )
     if target == "weyl" and flags["all_hold"]:
         report["isomorphism"] = verify_complex_isomorphism(here, there, d, flags)
     return report
@@ -422,24 +435,13 @@ def verify_hom_bound(lam, mu, p: int, d: int) -> dict:
     flags = check_hypotheses(lam, mu, p, d, "6.1")
     a = hom_dim_oracle(lam, mu, p)
     b = hom_dim_oracle(plus_shift_composition(lam, d, p), plus_shift_composition(mu, d, p), p)
-    report = {
-        "lambda": list(lam),
-        "mu": list(mu),
-        "p": p,
-        "d": d,
-        "theorem": "6.1",
-        "hypotheses": flags,
-        "ext_dims": [a],
-        "shifted_ext_dims": [b],
-        "per_degree_equal": [a == b],
-        "all_equal": a == b,
-        "verdict": _verdict(a == b, flags["all_hold"]),
-    }
-    if report["verdict"] == "FAIL":
-        raise TheoremViolationError(
-            f"hom bound failed with hypotheses satisfied: {lam} -> {mu}, p={p}, d={d}", report
-        )
-    return report
+    return _shift_report(
+        {"lambda": list(lam), "mu": list(mu), "p": p, "d": d, "theorem": "6.1", "hypotheses": flags},
+        [a],
+        [b],
+        {},
+        f"hom bound failed with hypotheses satisfied: {lam} -> {mu}, p={p}, d={d}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +449,14 @@ def verify_hom_bound(lam, mu, p: int, d: int) -> dict:
 
 
 def _basis_elements(complex_: HomComplex, k: int) -> list[tuple[tuple, tuple]]:
-    """Flat degree-k basis as (chain, tableau counts) pairs, offset order."""
-    out = []
-    for (top, chain), d, _off in complex_.summands[k]:
-        model = build_weight_space(complex_.mu, top, complex_.p)
-        for t in model.sst[:d]:
-            out.append((chain, t.counts))
-    return out
+    """Flat degree-k basis of a Weyl-target complex as (chain, tableau
+    counts) pairs, in offset order: each summand's slice has the
+    semistandard tableaux of its top as basis."""
+    return [
+        (chain, t.counts)
+        for (top, chain), _d, _off in complex_.summands[k]
+        for t in enumerate_sst(complex_.mu, top)
+    ]
 
 
 def verify_complex_isomorphism(
@@ -464,39 +467,28 @@ def verify_complex_isomorphism(
     matrices once bases are matched by the canonical bijections (shift every
     chain step at its (1,1) entry; insert p^d leading 1s into every tableau).
 
+    The bijections preserve basis order: chains, tops and tableaux are all
+    listed by one rule, descending lex on flattened tuples, and the shift
+    adds the same p^d to the leading entry of every element it compares.  So
+    ``here``'s shifted basis must equal ``there``'s element for element, and
+    then the differentials must be equal as they stand.
+
     The bijections are defined when ``hypotheses``, the preset 1.1.1 flags,
     all hold; the caller makes sure they do, and the report carries them.
     """
     p = here.p
     degrees = min(here.stored_degrees(), there.stored_degrees())
-    perms: list[np.ndarray] = []
     for k in range(degrees):
-        elements = _basis_elements(here, k)
-        lookup = {elem: i for i, elem in enumerate(_basis_elements(there, k))}
-        if len(elements) != len(lookup):
+        shifted = [
+            (tuple(plus_shift_matrix(w, d, p) for w in chain), plus_shift_matrix(counts, d, p))
+            for chain, counts in _basis_elements(here, k)
+        ]
+        if shifted != _basis_elements(there, k):
             raise TheoremViolationError(
-                f"basis sizes differ in degree {k}: {len(elements)} vs {len(lookup)}",
+                f"shifted basis differs from the shifted pair's basis in degree {k}",
                 {"degree": k},
             )
-        perm = np.zeros(len(elements), dtype=np.int64)
-        for i, (chain, counts) in enumerate(elements):
-            shifted_chain = tuple(plus_shift_matrix(w, d, p) for w in chain)
-            shifted_counts = plus_shift_matrix(counts, d, p)
-            key = (shifted_chain, shifted_counts)
-            if key not in lookup:
-                raise TheoremViolationError(
-                    f"basis bijection not onto in degree {k}", {"degree": k}
-                )
-            perm[i] = lookup[key]
-        perms.append(perm)
-    per_degree = []
-    for k in range(degrees - 1):
-        # there's entry (i, j) belongs at (perm^-1[i], perm^-1[j]) in here's bases
-        b = there.diffs[k]
-        matched = SparseMod.from_entries(
-            b.shape, np.argsort(perms[k + 1])[b.rows], np.argsort(perms[k])[b.cols], b.vals, p
-        )
-        per_degree.append(here.diffs[k] == matched)
+    per_degree = [here.diffs[k] == there.diffs[k] for k in range(degrees - 1)]
     report = {
         "refused": False,  # never: the caller checks the hypotheses first
         "hypotheses": hypotheses,

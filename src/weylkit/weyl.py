@@ -326,31 +326,39 @@ def act(w, vec, mu, p: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GramData:
     """Gram matrix of the contravariant form on a weight slice, normalised by
-    <v_mu, v_mu> = 1, together with its radical and a fixed coordinate system
-    for the quotient (the simple head's weight slice)."""
+    <v_mu, v_mu> = 1, together with coordinates for the quotient by its
+    radical (the simple head's weight slice).
+
+    ``projection`` is the nonzero rows of the reduced row echelon form of
+    the Gram matrix: its kernel is the radical, since the Gram matrix is
+    symmetric, and it is the identity on the ``pivots`` columns, so those
+    basis vectors represent the quotient coordinates.
+    """
 
     mu: Composition
     alpha: Composition
     p: int
     gram: np.ndarray
-    radical_basis: np.ndarray
-    free_columns: tuple[int, ...]
+    pivots: tuple[int, ...]
     projection: np.ndarray  # quotient coords from full coords
-    lift: np.ndarray  # representatives: quotient coords back into full coords
+
+    @property
+    def radical_basis(self) -> np.ndarray:
+        return kernel_basis_mod(self.gram, self.p)
 
     @property
     def radical_dim(self) -> int:
-        return self.radical_basis.shape[0]
+        return len(self.gram) - len(self.pivots)
 
     @property
     def simple_dim(self) -> int:
-        return len(self.free_columns)
+        return len(self.pivots)
 
 
 @_memo_on_tuples
 def gram_data(mu: Composition, alpha: Composition, p: int) -> GramData:
     """Gram matrix G[i, j] = coefficient of the canonical highest tableau in
-    xi_{w(T_i)^t} . [T_j], plus kernel data."""
+    xi_{w(T_i)^t} . [T_j], plus the simple head's coordinates."""
     model = build_weight_space(mu, alpha, p)
     k = model.dim
     gram = np.zeros((k, k), dtype=np.int64)
@@ -362,21 +370,11 @@ def gram_data(mu: Composition, alpha: Composition, p: int) -> GramData:
             gram[i, :] = act_matrix(transpose_matrix(tab.to_matrix()), mu, p)[0, :]
     if not np.array_equal(gram, gram.T):
         raise AssertionError(f"contravariant Gram matrix not symmetric for {mu}, {alpha}, p={p}")
-    radical = kernel_basis_mod(gram, p)
-    reduced, pivots = rref_mod(radical, p) if radical.size else (radical, [])
-    pivot_set = set(pivots)
-    free = tuple(c for c in range(k) if c not in pivot_set)
-    projection = np.zeros((len(free), k), dtype=np.int64)
-    for row_idx, f in enumerate(free):
-        projection[row_idx, f] = 1
-        for i, piv in enumerate(pivots):
-            projection[row_idx, piv] = (-reduced[i, f]) % p
-    lift = np.zeros((k, len(free)), dtype=np.int64)
-    for row_idx, f in enumerate(free):
-        lift[f, row_idx] = 1
-    for arr in (gram, radical, projection, lift):
+    reduced, pivots = rref_mod(gram, p)
+    projection = reduced[: len(pivots)]
+    for arr in (gram, projection):
         arr.flags.writeable = False
-    return GramData(mu, alpha, p, gram, radical, free, projection, lift)
+    return GramData(mu, alpha, p, gram, tuple(pivots), projection)
 
 
 def simple_dim(mu, alpha, p: int) -> int:
@@ -389,7 +387,7 @@ def act_matrix_simple(w: Matrix, mu: Composition, p: int) -> np.ndarray:
     """Matrix of xi_w between weight slices of the simple head of shape mu."""
     src = gram_data(mu, margin1(w), p)
     tgt = gram_data(mu, margin2(w), p)
-    out = tgt.projection @ act_matrix(w, mu, p) @ src.lift % p
+    out = tgt.projection @ act_matrix(w, mu, p)[:, src.pivots] % p
     out.flags.writeable = False
     return out
 

@@ -8,6 +8,7 @@ import pytest
 
 import weylkit.ext
 from weylkit.cli import build_parser, main
+from weylkit.ext import MAX_DEGREE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -118,9 +119,11 @@ def test_resource_cap_exit_code(capsys):
     ("verify", "--theorem", "1.1.1", "--p", "2", "--d", "1", "--lambda", "2,1", "--mu", "3",
      "--max-basis", "0"),
     ("kostka", "--mu", "2,1", "--alpha", "1,1,1", "--cache-dir", "x"),
-], ids=["verify-max-basis", "kostka-cache-dir"])
+    ("kostka", "--mu", "2,1", "--alpha", "1,1,1", "--format", "json"),
+], ids=["verify-max-basis", "kostka-cache-dir", "kostka-format"])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
-    # verify builds no capped complex and kostka writes no cache record
+    # verify builds no capped complex, kostka writes no cache record and
+    # prints one number whatever the format
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -321,6 +324,107 @@ def test_verify_builds_each_complex_once(capsys, monkeypatch):
     assert "isomorphism" in json.loads(out)["result"]["report"]
     # one build for the pair and one for its shift
     assert [tuple(map(tuple, c)) for c in calls] == [((2, 2, 0), (4, 0, 0)), ((5, 2, 0), (7, 0, 0))]
+
+
+def _shift_oracle(monkeypatch):
+    # the shifted pair's Hom dimension is one too large
+    oracle = weylkit.ext.hom_dim_oracle
+    monkeypatch.setattr(weylkit.ext, "hom_dim_oracle",
+                        lambda lam, mu, p: oracle(lam, mu, p) + (lam[0] > 2))
+
+
+def _shift_complex(monkeypatch):
+    # the shifted pair's complex gets one more degree-0 basis vector, so its
+    # Ext^0 is one too large
+    build = weylkit.ext.build_hom_complex
+
+    def altered(lam, *args, **kwargs):
+        hc = build(lam, *args, **kwargs)
+        if lam[0] > 2:
+            hc.dims[0] += 1
+        return hc
+
+    monkeypatch.setattr(weylkit.ext, "build_hom_complex", altered)
+
+
+# the comparison reports of a FAIL; the hypotheses hold at both pairs
+FAIL_REPORTS = [
+    (
+        "6.1", _shift_oracle,
+        '{"lambda": [2, 1], "mu": [3, 0], "p": 3, "d": 1, "theorem": "6.1", '
+        '"hypotheses": {"pd_gt_min_l2_m1_minus_l1": true, "mu2_le_l1": true, "all_hold": true}, '
+        '"ext_dims": [1], "shifted_ext_dims": [2], "per_degree_equal": [false], '
+        '"all_equal": false, "verdict": "FAIL"}',
+    ),
+    (
+        "1.1.1", _shift_complex,
+        '{"lambda": [2, 1], "mu": [3, 0], "p": 3, "d": 1, "target": "weyl", "theorem": "1.1.1", '
+        '"hypotheses": {"pd_gt_r_minus_l1": true, "mu2_le_l1": true, "all_hold": true}, '
+        '"ext_dims": [1, 1], "shifted_lambda": [5, 1], "shifted_mu": [6, 0], '
+        '"shifted_ext_dims": [2, 1], "per_degree_equal": [false, true], '
+        '"all_equal": false, "verdict": "FAIL"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("theorem, alter, expected", FAIL_REPORTS, ids=["6.1", "1.1.1"])
+def test_verify_fail_exits_1(tmp_path, capsys, monkeypatch, theorem, alter, expected):
+    argv = ("verify", "--theorem", theorem, "--p", "3", "--d", "1", "--lambda", "2,1",
+            "--mu", "3", "--cache-dir", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    (passed,) = tmp_path.iterdir()
+    passed.unlink()
+    alter(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    message, report = err.splitlines()
+    assert message.startswith("FAIL:")
+    assert json.dumps(json.loads(report)) == expected
+    assert not list(tmp_path.iterdir())  # no record of a FAIL is cached
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3"),
+    ("verify", "--theorem", "1.1.1", "--p", "3", "--d", "1", "--lambda", "2,1", "--mu", "3"),
+], ids=["ext", "verify"])
+def test_max_degree_above_bound_is_usage_error(capsys, argv):
+    # past the resolution length every Ext dim is zero, so a larger bound
+    # would only allocate a list of zeros
+    code, out, err = run(capsys, *argv, "--max-degree", str(MAX_DEGREE + 1))
+    assert code == 2 and out == ""
+    assert "max_degree" in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (
+        ("ext", "--p", "3", "--lambda", "2,1", "--mu", "3"),
+        "Ext^0(Weyl[2, 1], weyl[3, 0]) = 1\n"
+        "Ext^1(Weyl[2, 1], weyl[3, 0]) = 1",
+    ),
+    (
+        ("verify", "--theorem", "1.1.1", "--p", "3", "--d", "1", "--lambda", "2,2", "--mu", "4",
+         "--n", "3"),
+        "theorem 1.1.1: verdict PASS\n"
+        "dims:         [1, 1, 0]\n"
+        "shifted dims: [1, 1, 0]\n"
+        "  pd_gt_r_minus_l1: True\n"
+        "  mu2_le_l1: True\n"
+        "  all_hold: True",
+    ),
+    (
+        ("verify", "--theorem", "6.4", "--p", "2", "--d", "1", "--lambda", "2,1", "--mu", "2,1",
+         "--n", "3"),
+        "theorem 6.4: verdict PASS\n"
+        "d=1: dims         [1, 0]\n"
+        "d=1: shifted dims [1, 0]\n"
+        "  lambda_is_hook: True\n"
+        "  max_degree_covered: 1\n"
+        "  all_hold: True",
+    ),
+], ids=["ext", "verify-1.1.1", "verify-6.4"])
+def test_table_format(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv, "--format", "table")
+    assert code == 0 and out == expected
 
 
 @pytest.mark.parametrize("theorem", ["6.1", "6.4"])

@@ -218,6 +218,50 @@ def test_complex_isomorphism_catches_one_altered_entry(monkeypatch, side):
     assert len(calls) == 2
 
 
+def _reverse_summands(hc: HomComplex, k: int):
+    """The same complex with degree k's summands in reverse order: offsets
+    rebuilt, and the rows of diffs[k-1] and columns of diffs[k] moved along."""
+    placed, old_of_new, offset = [], [], 0
+    for key, d, off in reversed(hc.summands[k]):
+        placed.append((key, d, offset))
+        old_of_new.extend(range(off, off + d))
+        offset += d
+    new_of_old = np.argsort(old_of_new)
+    hc.summands[k] = placed
+    if k > 0:
+        a = hc.diffs[k - 1]
+        hc.diffs[k - 1] = SparseMod.from_entries(a.shape, new_of_old[a.rows], a.cols, a.vals, hc.p)
+    if k < len(hc.diffs):
+        b = hc.diffs[k]
+        hc.diffs[k] = SparseMod.from_entries(b.shape, b.rows, new_of_old[b.cols], b.vals, hc.p)
+
+
+def test_complex_isomorphism_rejects_a_reordered_basis(monkeypatch):
+    # both complexes list their bases by one rule, so the shifted basis must
+    # match in order; a reordered but isomorphic complex is a different layout
+    build = weylkit.ext.build_hom_complex
+    calls = []
+
+    def reordered_build(*args, **kwargs):
+        hc = build(*args, **kwargs)
+        calls.append(hc)
+        if len(calls) == 2:
+            k = max(range(hc.stored_degrees()), key=lambda k: len(hc.summands[k]))
+            assert len(hc.summands[k]) > 1
+            dims = hc.ext_dims()
+            _reverse_summands(hc, k)
+            hc._ranks = None
+            assert hc.check_dsquare() and hc.ext_dims() == dims
+        return hc
+
+    case = ((2, 1, 1), (4, 0, 0), 3, 1, "weyl")
+    monkeypatch.setattr(weylkit.ext, "build_hom_complex", reordered_build)
+    with pytest.raises(TheoremViolationError, match="basis") as exc:
+        verify_periodicity(*case)
+    assert set(exc.value.report) == {"degree"}
+    assert len(calls) == 2
+
+
 def test_periodicity_exhaustive_small_grid():
     for p in (2, 3):
         for r in (1, 2, 3, 4):

@@ -13,12 +13,15 @@ from weylkit.shapes import (
     enumerate_partitions,
     enumerate_sst,
     kostka,
+    margin1,
+    margin2,
     matrix_margins,
     plus_shift_composition,
     transpose_matrix,
 )
-from weylkit.linalg import rref_mod
-from weylkit.schur import xi_product
+from weylkit.linalg import SparseMod, rref_mod
+from weylkit.resolutions import box_presentation
+from weylkit.schur import xi_product, xi_product_terms
 from weylkit import weyl
 from weylkit.weyl import (
     act,
@@ -49,6 +52,51 @@ def test_box_relations_column_shape():
 def test_box_relations_single_row_empty():
     _, relations = box_relation_vectors((4,), (4,), 3)
     assert relations.shape[0] == 0
+
+
+def _relations_by_right_multiplication(mu, alpha, p):
+    """The box relations at weight alpha as right multiplication by xi_rho,
+    rho being diag(mu) with t moved from (i+1, i+1) to (i, i+1): one row
+    per family (i, t) and generator x of D(source) at weight alpha, the row
+    holding the terms of xi_x . xi_rho, families and generators in order."""
+    monomials = enumerate_omega(alpha, mu)
+    index = {w: j for j, w in enumerate(monomials)}
+    generators = 0
+    rows, cols, vals = [], [], []
+    for family in box_presentation(mu):
+        i = family.i - 1
+        rho = [list(row) for row in diagonal_matrix(mu)]
+        rho[i][i + 1] = family.t
+        rho[i + 1][i + 1] -= family.t
+        rho = tuple(map(tuple, rho))
+        for x in enumerate_omega(alpha, family.source):
+            for w, c in xi_product_terms(x, rho, p):
+                rows.append(generators)
+                cols.append(index[w])
+                vals.append(c)
+            generators += 1
+    return SparseMod.from_entries((generators, len(monomials)), rows, cols, vals, p)
+
+
+def test_box_relations_are_right_multiplication():
+    # box_relation_vectors builds the same rows without any product: every
+    # coefficient, row and row position must agree
+    cases = [(n, r) for n in (1, 2, 3) for r in range(1, 7)] + [(4, r) for r in range(1, 6)]
+    shifted = [((2, 1, 0), (1, 1, 1), 2, 1), ((2, 2, 0), (2, 1, 1), 3, 1),
+               ((3, 1), (2, 2), 2, 2), ((2, 1, 1), (1, 2, 1), 2, 1)]
+    checked = 0
+    for p in (2, 3):
+        for n, r in cases:
+            for mu in enumerate_partitions(n, r):
+                for alpha in enumerate_compositions(n, r):
+                    _, relations = box_relation_vectors(mu, alpha, p)
+                    assert relations == _relations_by_right_multiplication(mu, alpha, p), (mu, alpha, p)
+                    checked += 1
+    for mu, alpha, p, d in shifted:
+        mu, alpha = plus_shift_composition(mu, d, p), plus_shift_composition(alpha, d, p)
+        _, relations = box_relation_vectors(mu, alpha, p)
+        assert relations == _relations_by_right_multiplication(mu, alpha, p), (mu, alpha, p)
+    assert checked > 1000
 
 
 def _dense_model(mu, alpha, p):
@@ -313,9 +361,9 @@ def test_gram_data_accepts_lists():
     from_lists = gram_data([3, 1, 0], [2, 1, 1], 3)
     from_tuples = gram_data((3, 1, 0), (2, 1, 1), 3)
     assert from_lists.mu == (3, 1, 0) and from_lists.alpha == (2, 1, 1)
-    for name in ("gram", "radical_basis", "projection", "lift"):
+    for name in ("gram", "radical_basis", "projection"):
         assert np.array_equal(getattr(from_lists, name), getattr(from_tuples, name))
-    assert from_lists.free_columns == from_tuples.free_columns
+    assert from_lists.pivots == from_tuples.pivots
     assert gram_data.cache_info().currsize >= 1
 
 
@@ -346,6 +394,25 @@ def test_simple_action_accepts_lists():
     assert expected.shape == (1, 1) and expected.any()
     assert np.array_equal(act_matrix_simple([list(row) for row in w], [2, 0], 3), expected)
     assert act_matrix_simple.cache_info().currsize >= 1
+
+
+def test_simple_action_is_induced_on_the_quotient():
+    # projecting and then acting on the simple head equals acting on the
+    # Weyl module and then projecting
+    checked = 0
+    for p in (2, 3):
+        for n, top in ((2, 4), (3, 3)):
+            for r in range(1, top + 1):
+                comps = enumerate_compositions(n, r)
+                for mu in enumerate_partitions(n, r):
+                    for a, b in itertools.product(comps, comps):
+                        for w in enumerate_omega(a, b):
+                            src, tgt = gram_data(mu, margin1(w), p), gram_data(mu, margin2(w), p)
+                            lhs = act_matrix_simple(w, mu, p) @ src.projection % p
+                            rhs = tgt.projection @ act_matrix(w, mu, p) % p
+                            assert np.array_equal(lhs, rhs), (w, mu, p)
+                            checked += 1
+    assert checked > 1500
 
 
 def test_gram_symmetric_and_radical_semisimple_case():
