@@ -23,6 +23,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
 
@@ -33,9 +34,8 @@ from .ext import (
     THEOREMS,
     ResourceLimitError,
     TheoremViolationError,
-    build_hom_complex,
     check_hypotheses,
-    euler_check,
+    compute_ext,
     hook_ext_crosscheck,
     verify_hom_bound,
     verify_periodicity,
@@ -47,8 +47,10 @@ from .shapes import (
     chain_space,
     dominates,
     enumerate_partitions,
+    format_composition,
     format_tableau,
     kostka,
+    linked,
     pad,
     parse_composition,
     parse_matrix,
@@ -163,17 +165,11 @@ def cmd_ext(args) -> int:
     }
 
     def compute():
-        complex_ = build_hom_complex(
+        dims, consistent = compute_ext(
             lam, mu, args.p, args.target, args.max_degree, args.max_basis, args.max_r
         )
-        dims = complex_.ext_dims()
-        applicable, holds = euler_check(complex_)
         euler = sum((-1) ** i * d for i, d in enumerate(dims))
-        return {
-            "ext_dims": dims,
-            "euler": euler,
-            "euler_consistent": holds if applicable else None,
-        }
+        return {"ext_dims": dims, "euler": euler, "euler_consistent": consistent}
 
     record = _run_cached(args, key, compute)
     if args.format == "table":
@@ -240,11 +236,9 @@ def cmd_verify(args) -> int:
 def cmd_survey(args) -> int:
     n = args.n or min(args.r, 4)
     partitions = enumerate_partitions(n, args.r)
-    lines = []
-    for lam in partitions:
-        for mu in partitions:
-            if not dominates(mu, lam):
-                continue
+    pairs = [(lam, mu) for lam in partitions for mu in partitions if dominates(mu, lam)]
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        for index, (lam, mu) in enumerate(pairs, 1):
             key = {
                 "p": args.p,
                 "n": n,
@@ -254,12 +248,14 @@ def cmd_survey(args) -> int:
                 "target": args.target,
                 "max_degree": args.max_degree,
             }
+            handled = "cached"
 
             def compute(lam=lam, mu=mu):
-                complex_ = build_hom_complex(
+                nonlocal handled
+                dims, _ = compute_ext(
                     lam, mu, args.p, args.target, args.max_degree, args.max_basis, args.max_r
                 )
-                dims = complex_.ext_dims()
+                handled = "built" if linked(lam, mu, args.p) else "unlinked"
                 # when the rank equals the degree and p is odd, degree ranges
                 # of these numbers transport to the symmetric group
                 labels = []
@@ -276,12 +272,19 @@ def cmd_survey(args) -> int:
                         )
                 return {"ext_dims": dims, "labels": labels}
 
+            started = time.monotonic()
             try:
                 record = _run_cached(args, key, compute)
             except ResourceLimitError:
-                continue  # flush what we have; skip only this pair
-            lines.append(json.dumps(record))
-    _emit(args, "\n".join(lines))
+                handled = "skipped: cap"  # skip only this pair
+            else:
+                # write each record as soon as it is made: a later failure
+                # (exit 3 or 4) keeps every record before it
+                out.write(json.dumps(record) + "\n")
+                out.flush()
+            ms = int((time.monotonic() - started) * 1000)
+            print(f"survey {index}/{len(pairs)} {format_composition(lam)} -> "
+                  f"{format_composition(mu)}: {ms} ms, {handled}", file=sys.stderr)
     return 0
 
 
@@ -427,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     survey.add_argument("--n", type=int, default=None)
     survey.add_argument("--target", choices=("weyl", "simple"), default="weyl")
     survey.add_argument("--max-degree", type=int, default=None)
-    _add_output(survey)
+    _add_out(survey)
     survey.set_defaults(func=cmd_survey)
 
     st = subs.add_parser("straighten", help="semistandard expansion of a tableau class")

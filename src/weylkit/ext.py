@@ -33,6 +33,7 @@ from .shapes import (
     dominates,
     enumerate_sst,
     kostka,
+    linked,
     pad,
     plus_shift_composition,
     plus_shift_matrix,
@@ -233,6 +234,44 @@ def _assemble(layers, arrows, mu: Composition, p: int, target: str):
     return summands, dims, diffs
 
 
+def _plan(lam: Composition, mu: Composition, p: int, target: str, max_degree, max_basis: int,
+          max_r: int):
+    """The checks a chain-resolution Hom complex of a checked pair passes
+    before anything is built, and its size from chain counts alone.
+
+    Returns (report, natural, totals): the last reported degree,
+    the resolution length, and the basis dimension of every stored degree
+    (0 .. min(natural, report + 1)).  When mu does not dominate lam, every
+    top weight dominates lam, so no weight slice of M survives: one zero
+    degree is stored and the length counts as 0.  Raises
+    ResourceLimitError when a stored degree needs more than ``max_basis``
+    chains or basis elements; raw chain counts are capped too, since even
+    zero-dimensional summands cost their enumeration.
+    """
+    check_prime(p)
+    if max_degree is not None and not 0 <= max_degree <= MAX_DEGREE:
+        raise ValueError(f"max_degree must lie in [0, {MAX_DEGREE}], got {max_degree}")
+    if sum(lam) > max_r:
+        raise ResourceLimitError(f"degree {sum(lam)} exceeds the cap {max_r}")
+    if not dominates(mu, lam):
+        return 0 if max_degree is None else max_degree, 0, [0]
+
+    space = chain_space(lam)
+    natural = sy_max_degree(lam)
+    report = natural if max_degree is None else max_degree
+    totals = []
+    for k in range(min(natural, report + 1) + 1):
+        raw = sum(space.count(a, k) for a in space.tops)
+        total = sum(space.count(a, k) * _weight_dim(mu, a, p, target) for a in space.tops)
+        if max(raw, total) > max_basis:
+            raise ResourceLimitError(
+                f"degree {k} needs {raw} chains and {total} basis elements, "
+                f"exceeding the cap {max_basis}"
+            )
+        totals.append(total)
+    return report, natural, totals
+
+
 def build_hom_complex(
     lam,
     mu,
@@ -245,42 +284,47 @@ def build_hom_complex(
     """Hom(chain resolution of lam, M) with M the Weyl module of mu
     (target="weyl") or its simple head (target="simple")."""
     lam, mu = _check_pair(lam, mu)
-    check_prime(p)
-    if max_degree is not None and not 0 <= max_degree <= MAX_DEGREE:
-        raise ValueError(f"max_degree must lie in [0, {MAX_DEGREE}], got {max_degree}")
-    if sum(lam) > max_r:
-        raise ResourceLimitError(f"degree {sum(lam)} exceeds the cap {max_r}")
-
+    report, natural, totals = _plan(lam, mu, p, target, max_degree, max_basis, max_r)
     if not dominates(mu, lam):
-        # every top weight dominates lam, so no weight slice of M survives
-        report = 0 if max_degree is None else max_degree
         return HomComplex(lam, mu, p, target, report, 0, [[]], [0], [])
-
-    space = chain_space(lam)
-    natural = sy_max_degree(lam)
-    report = natural if max_degree is None else max_degree
-    store_to = min(natural, report + 1)
-
-    # cheap size estimates (counting only) before materialising anything;
-    # raw chain counts are capped too, since even zero-dimensional summands
-    # cost their enumeration
-    for k in range(store_to + 1):
-        raw = sum(space.count(a, k) for a in space.tops)
-        total = sum(space.count(a, k) * _weight_dim(mu, a, p, target) for a in space.tops)
-        if max(raw, total) > max_basis:
-            raise ResourceLimitError(
-                f"degree {k} needs {raw} chains and {total} basis elements, "
-                f"exceeding the cap {max_basis}"
-            )
-
     summands, dims, diffs = _assemble(
-        (sy_degree(lam, k) for k in range(store_to + 1)),
+        (sy_degree(lam, k) for k in range(len(totals))),
         lambda chain: sy_arrows(chain, p),
         mu,
         p,
         target,
     )
     return HomComplex(lam, mu, p, target, report, natural, summands, dims, diffs)
+
+
+def compute_ext(
+    lam,
+    mu,
+    p: int,
+    target: str = "weyl",
+    max_degree: int | None = None,
+    max_basis: int = MAX_BASIS_DEFAULT,
+    max_r: int = MAX_R_DEFAULT,
+) -> tuple[list[int], bool | None]:
+    """Ext dims of (lam, M) as ``build_hom_complex`` gives them, with the
+    Euler check's verdict (None when it does not apply, see ``euler_check``).
+
+    An unlinked pair (``shapes.linked``) has zero Ext in every degree by the
+    linkage principle, so its list is returned after the checks and the size
+    caps of a full build, with no chain enumerated and no rank taken.  Its
+    Euler check is then that the alternating sum of the per-degree basis
+    dimensions, counted for the caps, is 0.  The oracles (the periodicity
+    verifiers, the Hom oracle, the hook cross-check) never take this path.
+    """
+    lam, mu = _check_pair(lam, mu)
+    check_prime(p)
+    if linked(lam, mu, p):
+        complex_ = build_hom_complex(lam, mu, p, target, max_degree, max_basis, max_r)
+        applicable, holds = euler_check(complex_)
+        return complex_.ext_dims(), holds if applicable else None
+    report, natural, totals = _plan(lam, mu, p, target, max_degree, max_basis, max_r)
+    holds = sum((-1) ** k * d for k, d in enumerate(totals)) == 0
+    return [0] * (report + 1), holds if len(totals) > natural else None
 
 
 # ---------------------------------------------------------------------------

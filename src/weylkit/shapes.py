@@ -87,6 +87,20 @@ def strictly_dominates(a, b) -> bool:
     return tuple(a) != tuple(b) and dominates(a, b)
 
 
+def linked(a, b, p: int) -> bool:
+    """Whether the multisets {a_i - i mod p} and {b_i - i mod p} agree: for
+    two compositions of one total, whether a and b are linked, that is, in
+    one orbit of the affine Weyl group of GL_n under the dot action.  By the
+    linkage principle, Ext between the Weyl module of a and the Weyl module
+    of b, or its simple head, is zero in every degree unless they are.
+    Adding p^d to the first parts keeps every residue, so a pair and its
+    shift are linked or not alike."""
+    def residues(parts):
+        return sorted((x - i) % p for i, x in enumerate(parts, 1))
+
+    return residues(a) == residues(b)
+
+
 def _compositions_bounded(total: int, bounds: tuple[int, ...]) -> Iterator[Composition]:
     # Descending-lex generation of tuples c with sum(c) = total, 0 <= c_i <= bounds_i.
     if not bounds:

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import weylkit.cli
 import weylkit.ext
 from weylkit.cli import build_parser, main
 from weylkit.ext import MAX_DEGREE
@@ -107,6 +109,8 @@ def test_usage_error_exit_code(capsys):
     assert code == 2 and "prime" in err
     code, _, err = run(capsys, "ext", "--p", "2", "--lambda", "2,1", "--mu", "4")
     assert code == 2
+    code, out, err = run(capsys, "survey", "--p", "0", "--r", "2")
+    assert (code, out) == (2, "") and "prime" in err
 
 
 def test_resource_cap_exit_code(capsys):
@@ -120,10 +124,11 @@ def test_resource_cap_exit_code(capsys):
      "--max-basis", "0"),
     ("kostka", "--mu", "2,1", "--alpha", "1,1,1", "--cache-dir", "x"),
     ("kostka", "--mu", "2,1", "--alpha", "1,1,1", "--format", "json"),
-], ids=["verify-max-basis", "kostka-cache-dir", "kostka-format"])
+    ("survey", "--p", "2", "--r", "2", "--format", "table"),
+], ids=["verify-max-basis", "kostka-cache-dir", "kostka-format", "survey-format"])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
     # verify builds no capped complex, kostka writes no cache record and
-    # prints one number whatever the format
+    # prints one number whatever the format, survey always writes JSON lines
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -173,6 +178,87 @@ def test_survey_specht_labels(capsys):
     assert labelled, "r == n and p > 2 rows must carry symmetric-group labels"
     mu_top = [r for r in records if r["result"]["key"]["mu"] == [3, 0, 0]]
     assert any("cohomology" in lab for r in mu_top for lab in r["result"]["labels"])
+
+
+def test_survey_streams_records_before_a_failure(capsys, monkeypatch):
+    # the third pair runs out of memory: the first two records are already out
+    run_cached = weylkit.cli._run_cached
+    calls = []
+
+    def third_fails(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise MemoryError()
+        return run_cached(*args)
+
+    monkeypatch.setattr(weylkit.cli, "_run_cached", third_fails)
+    code, out, err = run(capsys, "survey", "--p", "2", "--r", "2", "--n", "2", "--max-degree", "2")
+    assert code == 3 and "out of memory" in err
+    pairs = [(r["result"]["key"]["lambda"], r["result"]["key"]["mu"])
+             for r in map(json.loads, out.splitlines())]
+    assert pairs == [([2, 0], [2, 0]), ([1, 1], [2, 0])]
+
+
+def test_survey_progress_on_stderr(tmp_path, capsys):
+    # at p = 3, (1, 1) and (2) are unlinked: residues {0, 2} against {1, 1}
+    argv = ("survey", "--p", "3", "--r", "2", "--n", "2", "--cache-dir", str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    handled = [re.fullmatch(r"survey (\d)/3 (\S+) -> (\S+): \d+ ms, (.+)", line).groups()
+               for line in err.splitlines()]
+    assert handled == [("1", "2,0", "2,0", "built"), ("2", "1,1", "2,0", "unlinked"),
+                       ("3", "1,1", "1,1", "built")]
+    assert all(set(json.loads(line)["result"]) == {"key", "ext_dims", "labels", "engine_version"}
+               for line in out.splitlines())
+    code, _, err = run(capsys, *argv)
+    assert [line.rsplit(", ", 1)[1] for line in err.splitlines()] == ["cached"] * 3
+    code, out, err = run(capsys, *argv[:-2], "--max-basis", "0")
+    assert code == 0 and out == ""
+    assert [line.rsplit(", ", 1)[1] for line in err.splitlines()] == ["skipped: cap"] * 3
+
+
+# ``result`` payloads of unlinked pairs, recorded before ext returned their
+# zero Ext from the chain counts alone
+UNLINKED_RECORDS = [
+    (
+        ("--p", "2", "--lambda", "2,2,2,1", "--mu", "5,2,0,0"),
+        '{"key": {"p": 2, "n": 4, "r": 7, "lambda": [2, 2, 2, 1], "mu": [5, 2, 0, 0], '
+        '"target": "weyl", "max_degree": null}, "ext_dims": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0], '
+        '"euler": 0, "euler_consistent": true, "engine_version": "0.1.0"}',
+    ),
+    (
+        ("--p", "3", "--lambda", "3,1", "--mu", "4", "--target", "simple"),
+        '{"key": {"p": 3, "n": 2, "r": 4, "lambda": [3, 1], "mu": [4, 0], '
+        '"target": "simple", "max_degree": null}, "ext_dims": [0, 0], "euler": 0, '
+        '"euler_consistent": true, "engine_version": "0.1.0"}',
+    ),
+    (
+        ("--p", "2", "--lambda", "2,2,2,1", "--mu", "5,2,0,0", "--max-degree", "3"),
+        '{"key": {"p": 2, "n": 4, "r": 7, "lambda": [2, 2, 2, 1], "mu": [5, 2, 0, 0], '
+        '"target": "weyl", "max_degree": 3}, "ext_dims": [0, 0, 0, 0], "euler": 0, '
+        '"euler_consistent": null, "engine_version": "0.1.0"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", UNLINKED_RECORDS, ids=["weyl", "simple", "truncated"])
+def test_unlinked_ext_records_pinned_without_chains(capsys, monkeypatch, argv, expected):
+    monkeypatch.setattr(weylkit.ext, "sy_degree", _raise(AssertionError("chain enumerated")))
+    monkeypatch.setattr(weylkit.ext, "sy_arrows", _raise(AssertionError("arrows listed")))
+    code, out, _ = run(capsys, "ext", *argv)
+    assert code == 0
+    assert json.dumps(json.loads(out)["result"]) == expected
+
+
+@pytest.mark.parametrize("name", ["sy_degree", "sy_arrows"])
+def test_verify_builds_unlinked_pairs_in_full(capsys, monkeypatch, name):
+    # the periodicity oracle never takes the linkage shortcut: on the
+    # unlinked pair (2, 1) -> (3) at p = 2 it still enumerates the chains
+    monkeypatch.setattr(weylkit.ext, name, _raise(LookupError("reached")))
+    code, out, err = run(capsys, "verify", "--theorem", "1.1.1", "--p", "2", "--d", "1",
+                         "--lambda", "2,1", "--mu", "3")
+    assert code == 4 and out == ""
+    assert err == "internal error: LookupError: reached"
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -499,13 +585,13 @@ def _raise(exc):
 
 
 def test_memory_error_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr("weylkit.cli.build_hom_complex", _raise(MemoryError()))
+    monkeypatch.setattr("weylkit.cli.compute_ext", _raise(MemoryError()))
     code, _, err = run(capsys, "ext", "--p", "2", "--lambda", "2,1", "--mu", "3")
     assert code == 3 and err.startswith("resource cap:")
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr("weylkit.cli.build_hom_complex", _raise(KeyError("two\nlines")))
+    monkeypatch.setattr("weylkit.cli.compute_ext", _raise(KeyError("two\nlines")))
     code, _, err = run(capsys, "ext", "--p", "2", "--lambda", "2,1", "--mu", "3")
     assert code == 4
     assert err.startswith("internal error:") and len(err.splitlines()) == 1

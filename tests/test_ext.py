@@ -13,6 +13,7 @@ from weylkit.ext import (
     build_hom_complex,
     build_hook_hom_complex,
     check_hypotheses,
+    compute_ext,
     euler_check,
     hom_dim_oracle,
     hook_ext_crosscheck,
@@ -20,7 +21,7 @@ from weylkit.ext import (
     verify_periodicity,
 )
 from weylkit.linalg import SparseMod
-from weylkit.shapes import dominates, enumerate_partitions, pad
+from weylkit.shapes import dominates, enumerate_partitions, linked, pad
 
 
 def test_complex_dims_worked_example():
@@ -397,3 +398,128 @@ def test_complex_dimension_decomposition():
                 for alpha in enumerate_strictly_dominating(lam)
             )
         assert hc.dims[k] == expected
+
+
+def _dominated_pairs(n: int, r: int):
+    parts = enumerate_partitions(n, r)
+    return [(lam, mu) for lam, mu in itertools.product(parts, parts) if dominates(mu, lam)]
+
+
+def _raise_if_called(*args, **kwargs):
+    raise AssertionError("the linkage shortcut enumerated a chain")
+
+
+def test_unlinked_shortcut_matches_the_full_build(monkeypatch):
+    # every unlinked pair: the full build has zero Ext (the linkage
+    # principle), and compute_ext returns its list and Euler verdict from
+    # the counts alone, with no chain enumerated
+    expected = {}
+    for n, top_r in ((2, 8), (3, 6), (4, 5)):
+        for r in range(1, top_r + 1):
+            for lam, mu in _dominated_pairs(n, r):
+                for p in (2, 3, 5):
+                    if linked(lam, mu, p):
+                        continue
+                    length = build_hom_complex(lam, mu, p, max_degree=0).natural_length
+                    for max_degree in {None, 1, max(length - 1, 0)}:
+                        for target in ("weyl", "simple"):
+                            full = build_hom_complex(lam, mu, p, target, max_degree)
+                            dims = full.ext_dims()
+                            assert not any(dims), (lam, mu, p, target)
+                            applicable, holds = euler_check(full)
+                            expected[lam, mu, p, target, max_degree] = (
+                                dims, holds if applicable else None)
+    assert len(expected) == 930
+    monkeypatch.setattr(weylkit.ext, "sy_degree", _raise_if_called)
+    monkeypatch.setattr(weylkit.ext, "sy_arrows", _raise_if_called)
+    for (lam, mu, p, target, max_degree), (dims, consistent) in expected.items():
+        got = compute_ext(lam, mu, p, target, max_degree)
+        assert got == (dims, consistent), (lam, mu, p, target, max_degree)
+        euler = sum((-1) ** i * d for i, d in enumerate(got[0]))
+        assert euler == sum((-1) ** i * d for i, d in enumerate(dims))
+
+
+def test_linked_pairs_take_the_full_build():
+    for lam, mu in _dominated_pairs(3, 5):
+        for p in (2, 3):
+            if not linked(lam, mu, p):
+                continue
+            full = build_hom_complex(lam, mu, p, "simple")
+            applicable, holds = euler_check(full)
+            assert compute_ext(lam, mu, p, "simple") == (full.ext_dims(), holds)
+            assert applicable
+
+
+def test_unlinked_pairs_keep_the_size_caps():
+    # (2, 1) -> (3) is unlinked at p = 2: residues {1, 1} against {0, 0}
+    assert not linked((2, 1), (3, 0), 2)
+    with pytest.raises(ResourceLimitError):
+        compute_ext((2, 1), (3, 0), 2, max_basis=0)
+    with pytest.raises(ResourceLimitError):
+        compute_ext((2, 1), (3, 0), 2, max_r=2)
+    with pytest.raises(ValueError):
+        compute_ext((2, 1), (3, 0), 2, max_degree=-1)
+
+
+def _ext(cache: dict, lam, mu, p: int, target: str) -> list[int]:
+    """Ext dims with trailing zeros removed; a pair of partitions of 0 has
+    Ext [1] (the trivial module)."""
+    if sum(lam) == 0:
+        return [1]
+    key = (lam, mu, p, target)
+    if key not in cache:
+        dims = build_hom_complex(lam, mu, p, target).ext_dims()
+        while dims and dims[-1] == 0:
+            dims.pop()
+        cache[key] = dims
+    return cache[key]
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def test_row_removal_splits_ext():
+    # Donkin's row removal: when the first k rows of lam and mu have the same
+    # total, Ext^*(lam, mu) is the tensor product of Ext^* of the top k rows
+    # and Ext^* of the remaining rows, so its dims are the convolution
+    cache: dict = {}
+    cases = 0
+    for n in (3, 4):
+        for r in range(2, 7):
+            for lam, mu in _dominated_pairs(n, r):
+                for k in range(1, n):
+                    if sum(lam[:k]) != sum(mu[:k]):
+                        continue
+                    for p in (2, 3):
+                        for target in ("weyl", "simple"):
+                            split = _convolve(_ext(cache, lam[:k], mu[:k], p, target),
+                                              _ext(cache, lam[k:], mu[k:], p, target))
+                            assert _ext(cache, lam, mu, p, target) == split, (lam, mu, k, p)
+                            cases += 1
+    assert cases == 816
+
+
+def test_determinant_twist_keeps_ext():
+    # tensoring with the determinant: subtracting 1 from every part of lam
+    # and mu (both with a last part >= 1) leaves Ext unchanged
+    cache: dict = {}
+    cases = 0
+    for n in (3, 4):
+        for r in range(2, 7):
+            for lam, mu in _dominated_pairs(n, r):
+                if lam[-1] < 1 or mu[-1] < 1:
+                    continue
+                lam1 = tuple(x - 1 for x in lam)
+                mu1 = tuple(x - 1 for x in mu)
+                for p in (2, 3):
+                    for target in ("weyl", "simple"):
+                        assert _ext(cache, lam, mu, p, target) == _ext(cache, lam1, mu1, p, target)
+                        cases += 1
+    assert cases == 64

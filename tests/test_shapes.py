@@ -22,6 +22,7 @@ from weylkit.shapes import (
     format_tableau,
     is_lower_triangular,
     kostka,
+    linked,
     matrix_margins,
     parse_composition,
     parse_matrix,
@@ -204,6 +205,24 @@ def test_plus_shift_examples():
     assert shifted.counts[0][0] == 4  # four 1s in the top row
     with pytest.raises(ValueError):
         plus_shift_composition((1,), 0, 2)
+
+
+def test_linked_examples():
+    # residues lam_i - i mod p: (2, 2, 2, 1) gives {1, 0, 1, 1}, (5, 2) gives {0, 0, 1, 0}
+    assert not linked((2, 2, 2, 1), (5, 2, 0, 0), 2)
+    assert linked((2, 1), (3, 0), 3)  # {1, 2} against {2, 1}
+    assert not linked((2, 1), (3, 0), 2)  # {1, 1} against {0, 0}
+    assert not linked((2, 1), (3, 0), 5)  # {1, 4} against {2, 3}
+    assert linked((4, 1), (4, 1), 5)
+
+
+def test_linked_is_kept_by_the_shift():
+    # the degree-raising shift adds p^d to a first part, keeping its residue
+    for p in (2, 3, 5):
+        for lam, mu in itertools.product(enumerate_partitions(3, 5), repeat=2):
+            assert linked(lam, mu, p) == linked(mu, lam, p)
+            shifted = linked(plus_shift_composition(lam, 1, p), plus_shift_composition(mu, 1, p), p)
+            assert linked(lam, mu, p) == shifted
 
 
 def test_plus_shift_tensor():
