@@ -62,10 +62,19 @@ from .weyl import build_weight_space, gram_data, simple_dim, straighten
 CACHE_ENV = "WEYLKIT_CACHE"
 
 
+def _rank(args, default):
+    """--n when it is given, else ``default``; a rank below 1 is a usage error."""
+    if args.n is None:
+        return default
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    return args.n
+
+
 def _partitions_from(args):
     lam = parse_composition(args.lam)
     mu = parse_composition(args.mu)
-    n = args.n or max(len(lam), len(mu))
+    n = _rank(args, max(len(lam), len(mu)))
     lam = validate_partition(pad(lam, n))
     mu = validate_partition(pad(mu, n))
     if sum(mu) != sum(lam):
@@ -234,7 +243,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    n = args.n or min(args.r, 4)
+    n = _rank(args, min(args.r, 4))
     partitions = enumerate_partitions(n, args.r)
     pairs = [(lam, mu) for lam in partitions for mu in partitions if dominates(mu, lam)]
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
@@ -292,7 +301,7 @@ def _shape_and_weight(args):
     """Parse --mu/--alpha, defaulting the rank to the longest tuple given."""
     mu = parse_composition(args.mu)
     alpha = parse_composition(args.alpha)
-    n = args.n or max(len(mu), len(alpha))
+    n = _rank(args, max(len(mu), len(alpha)))
     return validate_partition(pad(mu, n)), pad(alpha, n)
 
 
@@ -300,7 +309,7 @@ def cmd_straighten(args) -> int:
     mu = parse_composition(args.mu)
     rows = parse_tableau_rows(args.tableau)
     entry_max = max((max(row) for row in rows if row), default=1)
-    n = args.n or max(len(mu), entry_max)
+    n = _rank(args, max(len(mu), entry_max))
     mu = validate_partition(pad(mu, n))
     tab = Tableau.from_entries(rows, n)
     coords = straighten(tab, args.p, mu)
@@ -349,7 +358,7 @@ def cmd_schur_mul(args) -> int:
 def cmd_resolve_info(args) -> int:
     if args.max_degree < 0:
         raise ValueError("--max-degree must be nonnegative")
-    lam = validate_partition(parse_composition(args.lam, n=args.n))
+    lam = validate_partition(parse_composition(args.lam, n=_rank(args, None)))
     length = sy_max_degree(lam)
     space = chain_space(lam)
     degrees = []
@@ -372,6 +381,13 @@ def cmd_resolve_info(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _add_common(sub):
@@ -403,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     cached.add_argument("--recheck", action="store_true",
                         help="recompute cached records and compare")
     capped = argparse.ArgumentParser(add_help=False, parents=[cached])
-    capped.add_argument("--max-basis", type=int, default=MAX_BASIS_DEFAULT)
-    capped.add_argument("--max-r", type=int, default=MAX_R_DEFAULT)
+    capped.add_argument("--max-basis", type=_nonnegative, default=MAX_BASIS_DEFAULT)
+    capped.add_argument("--max-r", type=_nonnegative, default=MAX_R_DEFAULT)
 
     ext = subs.add_parser("ext", parents=[capped],
                           help="Ext dimension table for a pair of partitions")

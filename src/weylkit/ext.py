@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -20,18 +21,18 @@ from .fparith import check_prime
 from .linalg import SparseMod, rank_mod
 from .resolutions import (
     box_presentation,
+    chain_resolution,
     hook_resolution,
     hook_splits,
     is_hook,
-    sy_arrows,
-    sy_degree,
-    sy_max_degree,
 )
 from .shapes import (
     Composition,
+    Matrix,
     chain_space,
     dominates,
     enumerate_sst,
+    expand_ranges,
     kostka,
     linked,
     pad,
@@ -83,14 +84,23 @@ def _act(w, mu: Composition, p: int, target: str) -> np.ndarray:
     return act_matrix(w, mu, p) if target == "weyl" else act_matrix_simple(w, mu, p)
 
 
+@lru_cache(maxsize=None)
+def _act_entries(w, mu: Composition, p: int, target: str):
+    """The nonzero (rows, cols, vals) of ``_act(w, mu, p, target)``."""
+    block = _act(w, mu, p, target)
+    r, c = np.nonzero(block)
+    return r, c, block[r, c]
+
+
 @dataclass(eq=False)
 class HomComplex:
     """Hom(resolution of lam, M) as explicit matrices over F_p.
 
     ``summands[k]`` lists ((top, key), dim, offset) for the degree-k basis,
     zero-dimensional summands dropped: the summand's top weight and the key
-    that names it within its degree (a chain, or a hook composition), the
-    dimension of its weight slice and its first coordinate.  ``diffs[k]``
+    that names it within its degree (a chain's index among the degree-k
+    chains of ``chain_space(lam)``, or a hook composition), the dimension
+    of its weight slice and its first coordinate.  ``diffs[k]``
     maps degree-k coordinates to degree-(k+1) coordinates and is stored
     sparse, as a ``SparseMod`` of shape (dims[k+1], dims[k]) holding only its
     nonzero entries.  Cohomology in degree i is exact for all i <= report_degree.
@@ -102,7 +112,7 @@ class HomComplex:
     target: str
     report_degree: int
     natural_length: int
-    summands: list[list[tuple[tuple[Composition, tuple], int, int]]]
+    summands: list[list[tuple[tuple[Composition, object], int, int]]]
     dims: list[int]
     diffs: list[SparseMod]
     _ranks: list[int] | None = field(default=None, repr=False)
@@ -165,72 +175,77 @@ def _check_pair(lam, mu) -> tuple[Composition, Composition]:
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
-def _assemble(layers, arrows, mu: Composition, p: int, target: str):
+def _top_dims(tops, mu: Composition, p: int, target: str) -> np.ndarray:
+    return np.array([_weight_dim(mu, top, p, target) for top in tops], dtype=np.int64)
+
+
+def _assemble(tops, top_dims, layout, top_index, arrows, steps, mu: Composition, p: int,
+              target: str):
     """Lay out the bases of a Hom complex into M and collect its
     differentials' nonzero entries into one ``SparseMod`` per degree.
 
-    ``layers`` yields, per degree, the (top weight, key) pairs of its
-    summands in basis order; a summand contributes the weight-top slice of M
-    (``target`` of ``mu``, see ``_weight_dim``).  ``arrows(key)`` lists the
-    (target key, step, scalar) components out of a summand into the previous
-    degree: the block is the action matrix of ``step``, or the identity when
-    ``step`` is None.  Returns (summands, dims, diffs) in the layout of
-    ``HomComplex``.
+    A summand with top t contributes the weight-t slice of M (``target``
+    of ``mu``), of dimension ``top_dims[t]``.  ``layout[k]`` lists the
+    degree-k summands in basis order as runs (t, keys): summands with top
+    ``tops[t]``, one per key that names it.  The summands of all degrees
+    are also numbered one after another, and ``top_index`` gives the top of
+    each.  ``arrows`` is (rows, cols, keys, scalars, bounds): each arrow
+    runs from summand ``rows[i]`` to summand ``cols[i]`` one degree lower,
+    those into degree k from bounds[k] to bounds[k+1]; its block is the
+    action matrix of ``steps[key]``, or for key ``len(steps) + t`` the
+    identity on the slice of top t, times its scalar.  Arrows with a
+    zero-dimensional end are dropped before any block is made.  Returns
+    (summands, dims, diffs) in the layout of ``HomComplex``.
     """
-    summands: list[list[tuple[tuple[Composition, tuple], int, int]]] = []
-    offsets: list[dict[tuple, int]] = []
-    dims: list[int] = []
-    for layer in layers:
-        placed = []
-        index: dict[tuple, int] = {}
-        offset = 0
-        for top, key in layer:
-            d = _weight_dim(mu, top, p, target)
-            if d == 0:
-                continue
-            placed.append(((top, key), d, offset))
-            index[key] = offset
-            offset += d
+    summands, dims = [], []
+    slice_dims = top_dims.tolist()
+    for runs in layout:
+        placed, offset = [], 0
+        for t, keys in runs:
+            d = slice_dims[t]
+            if d:
+                placed.extend(zip(zip(repeat(tops[t]), keys), repeat(d),
+                                  range(offset, offset + d * len(keys), d)))
+                offset += d * len(keys)
         summands.append(placed)
-        offsets.append(index)
         dims.append(offset)
 
-    # nonzero (rows, cols, vals) of a block before its scalar: the action
-    # matrix of a step, or the d x d identity
-    patterns: dict[object, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def pattern(step, d: int):
-        key = d if step is None else step
-        if key not in patterns:
-            block = np.eye(d, dtype=np.int64) if step is None else _act(step, mu, p, target)
-            r, c = np.nonzero(block)
-            patterns[key] = (r, c, block[r, c])
-        return patterns[key]
-
-    diffs: list[SparseMod] = []
-    for k in range(len(dims) - 1):
-        pieces = [(_EMPTY, _EMPTY, _EMPTY)]
-        row_offs, col_offs, scalars = [0], [0], [0]
-        for (_top, key), d, row_off in summands[k + 1]:
-            for to, step, scalar in arrows(key):
-                col_off = offsets[k].get(to)
-                if col_off is None:
-                    continue
-                pieces.append(pattern(step, d))
-                row_offs.append(row_off)
-                col_offs.append(col_off)
-                scalars.append(scalar % p)
-        sizes = [piece[0].size for piece in pieces]
-        rows, cols, vals = (np.concatenate(part) for part in zip(*pieces))
-        diffs.append(
-            SparseMod.from_entries(
-                (dims[k + 1], dims[k]),
-                rows + np.repeat(row_offs, sizes),
-                cols + np.repeat(col_offs, sizes),
-                vals * np.repeat(scalars, sizes),
-                p,
-            )
-        )
+    rows, cols, keys, scalars, bounds = arrows
+    width = top_dims[top_index]
+    live = np.flatnonzero(width[rows] * width[cols])
+    if live.size:
+        coords = np.cumsum(width) - width  # of each summand, counted over all degrees
+        # the nonzero (rows, cols, vals) of each block in use, before its
+        # scalar: the action matrix of a step, or the identity on a slice
+        used, slot = np.unique(keys[live], return_inverse=True)
+        blocks = []
+        for key in used.tolist():
+            if key < len(steps):
+                blocks.append(_act_entries(steps[key], mu, p, target))
+            else:
+                diagonal = np.arange(top_dims[key - len(steps)])
+                blocks.append((diagonal, diagonal, np.ones_like(diagonal)))
+        r, c, v = map(np.concatenate, zip(*blocks))
+        sizes = np.array([len(block[0]) for block in blocks], dtype=np.int64)
+        firsts = np.cumsum(sizes) - sizes
+    bases = list(accumulate(dims, initial=0))
+    diffs = []
+    cuts = np.searchsorted(live, bounds).tolist()
+    for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        # one degree at a time, which bounds the memory the entries take
+        if a == b:
+            diffs.append(SparseMod.from_entries((dims[k + 1], dims[k]), _EMPTY, _EMPTY, _EMPTY, p))
+            continue
+        counts = sizes[slot[a:b]]
+        entries = expand_ranges(firsts[slot[a:b]], counts)
+        arrow = np.repeat(live[a:b], counts)
+        diffs.append(SparseMod.from_entries(
+            (dims[k + 1], dims[k]),
+            r[entries] + (coords[rows[arrow]] - bases[k + 1]),
+            c[entries] + (coords[cols[arrow]] - bases[k]),
+            v[entries] * scalars[arrow],
+            p,
+        ))
     return summands, dims, diffs
 
 
@@ -239,11 +254,12 @@ def _plan(lam: Composition, mu: Composition, p: int, target: str, max_degree, ma
     """The checks a chain-resolution Hom complex of a checked pair passes
     before anything is built, and its size from chain counts alone.
 
-    Returns (report, natural, totals): the last reported degree,
-    the resolution length, and the basis dimension of every stored degree
-    (0 .. min(natural, report + 1)).  When mu does not dominate lam, every
-    top weight dominates lam, so no weight slice of M survives: one zero
-    degree is stored and the length counts as 0.  Raises
+    Returns (report, natural, totals, top_dims): the last reported degree,
+    the resolution length, the basis dimension of every stored degree
+    (0 .. min(natural, report + 1)), and the slice dimension of every top
+    of ``chain_space(lam)``.  When mu does not dominate lam, every top
+    weight dominates lam, so no weight slice of M survives: one zero degree
+    is stored, the length counts as 0 and top_dims is None.  Raises
     ResourceLimitError when a stored degree needs more than ``max_basis``
     chains or basis elements; raw chain counts are capped too, since even
     zero-dimensional summands cost their enumeration.
@@ -254,22 +270,21 @@ def _plan(lam: Composition, mu: Composition, p: int, target: str, max_degree, ma
     if sum(lam) > max_r:
         raise ResourceLimitError(f"degree {sum(lam)} exceeds the cap {max_r}")
     if not dominates(mu, lam):
-        return 0 if max_degree is None else max_degree, 0, [0]
+        return 0 if max_degree is None else max_degree, 0, [0], None
 
     space = chain_space(lam)
-    natural = sy_max_degree(lam)
+    natural = space.max_length()
     report = natural if max_degree is None else max_degree
-    totals = []
-    for k in range(min(natural, report + 1) + 1):
-        raw = sum(space.count(a, k) for a in space.tops)
-        total = sum(space.count(a, k) * _weight_dim(mu, a, p, target) for a in space.tops)
+    counts = space.profiles[:, : min(natural, report + 1) + 1]
+    top_dims = _top_dims(space.tops, mu, p, target)
+    raws, totals = counts.sum(axis=0).tolist(), (top_dims @ counts).tolist()
+    for k, (raw, total) in enumerate(zip(raws, totals)):
         if max(raw, total) > max_basis:
             raise ResourceLimitError(
                 f"degree {k} needs {raw} chains and {total} basis elements, "
                 f"exceeding the cap {max_basis}"
             )
-        totals.append(total)
-    return report, natural, totals
+    return report, natural, totals, top_dims
 
 
 def build_hom_complex(
@@ -284,12 +299,18 @@ def build_hom_complex(
     """Hom(chain resolution of lam, M) with M the Weyl module of mu
     (target="weyl") or its simple head (target="simple")."""
     lam, mu = _check_pair(lam, mu)
-    report, natural, totals = _plan(lam, mu, p, target, max_degree, max_basis, max_r)
+    report, natural, totals, top_dims = _plan(lam, mu, p, target, max_degree, max_basis, max_r)
     if not dominates(mu, lam):
         return HomComplex(lam, mu, p, target, report, 0, [[]], [0], [])
+    resolution = chain_resolution(lam, p)
+    degrees = len(totals)
     summands, dims, diffs = _assemble(
-        (sy_degree(lam, k) for k in range(len(totals))),
-        lambda chain: sy_arrows(chain, p),
+        resolution.space.tops,
+        top_dims,
+        resolution.runs[:degrees],
+        resolution.chain_tops(degrees),
+        resolution.arrows(degrees),
+        resolution.space.steps,
         mu,
         p,
         target,
@@ -322,7 +343,7 @@ def compute_ext(
         complex_ = build_hom_complex(lam, mu, p, target, max_degree, max_basis, max_r)
         applicable, holds = euler_check(complex_)
         return complex_.ext_dims(), holds if applicable else None
-    report, natural, totals = _plan(lam, mu, p, target, max_degree, max_basis, max_r)
+    report, natural, totals, _ = _plan(lam, mu, p, target, max_degree, max_basis, max_r)
     holds = sum((-1) ** k * d for k, d in enumerate(totals)) == 0
     return [0] * (report + 1), holds if len(totals) > natural else None
 
@@ -493,12 +514,14 @@ def verify_hom_bound(lam, mu, p: int, d: int) -> dict:
 
 
 def _basis_elements(complex_: HomComplex, k: int) -> list[tuple[tuple, tuple]]:
-    """Flat degree-k basis of a Weyl-target complex as (chain, tableau
-    counts) pairs, in offset order: each summand's slice has the
+    """Flat degree-k basis of a Weyl-target chain complex as (chain,
+    tableau counts) pairs, in offset order: each summand's slice has the
     semistandard tableaux of its top as basis."""
+    space = chain_space(complex_.lam)
+    chains = space.layer(k)[0]
     return [
-        (chain, t.counts)
-        for (top, chain), _d, _off in complex_.summands[k]
+        (tuple(map(space.steps.__getitem__, chains[index].tolist())), t.counts)
+        for (top, index), _d, _off in complex_.summands[k]
         for t in enumerate_sst(complex_.mu, top)
     ]
 
@@ -566,24 +589,45 @@ def build_hook_hom_complex(a: int, b: int, mu, p: int) -> HomComplex:
     res = hook_resolution(a, b)
     lam = pad((a,) + (1,) * b, n)
 
-    def split_arrows(beta: Composition):
-        # cochain differential degree i-1 -> i: precompose with the split map
-        m = len(beta)
-        for t in range(m):
-            for u, v in hook_splits(beta, t):
-                rho = [[0] * n for _ in range(n)]
-                for j in range(t):
-                    rho[j][j] = beta[j]
-                rho[t][t] = u
-                rho[t][t + 1] = v
-                for j in range(t + 2, m + 1):
-                    rho[j - 1][j] = beta[j - 1]
-                alpha = beta[:t] + (u, v) + beta[t + 1 :]
-                yield alpha, tuple(tuple(row) for row in rho), (-1) ** t
+    def split(beta: Composition, t: int, u: int, v: int) -> Matrix:
+        # the monomial matrix that splits position t of beta into (u, v)
+        rho = [[0] * n for _ in range(n)]
+        for j in range(t):
+            rho[j][j] = beta[j]
+        rho[t][t] = u
+        rho[t][t + 1] = v
+        for j in range(t + 2, len(beta) + 1):
+            rho[j - 1][j] = beta[j - 1]
+        return tuple(map(tuple, rho))
 
+    terms = [res.degree(i) for i in range(b + 1)]
+    tops = [pad(beta, n) for degree in terms for beta in degree]
+    starts = np.cumsum([0] + [len(degree) for degree in terms]).tolist()
+    steps: dict[Matrix, int] = {}  # split matrix -> block key
+    arrows = []
+    for i in range(b):
+        # cochain differential degree i -> i+1: precompose with the split maps
+        cols = {alpha: starts[i] + j for j, alpha in enumerate(terms[i])}
+        arrows.extend(
+            (starts[i + 1] + row, cols[alpha], steps.setdefault(split(beta, t, u, v), len(steps)),
+             (-1) ** t)
+            for row, beta in enumerate(terms[i + 1])
+            for t in range(len(beta))
+            for u, v in hook_splits(beta, t)
+            for alpha in [beta[:t] + (u, v) + beta[t + 1 :]]
+            if alpha in cols
+        )
+    # the rows of each differential come after those of the one before
+    table = np.array(arrows, dtype=np.int64).reshape(-1, 4).T
+    bounds = np.searchsorted(table[0], starts[1:]).tolist()
     layers, dims, diffs = _assemble(
-        ([(pad(beta, n), beta) for beta in res.degree(i)] for i in range(b + 1)),
-        split_arrows,
+        tops,
+        _top_dims(tops, mu, p, "weyl"),
+        [[(j, (beta,)) for j, beta in enumerate(degree, first)]
+         for degree, first in zip(terms, starts)],
+        np.arange(len(tops)),
+        (*table, bounds),
+        list(steps),
         mu,
         p,
         "weyl",

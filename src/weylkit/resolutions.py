@@ -3,11 +3,13 @@
 * The chain resolution B_*: degree k is a direct sum of cyclic projectives,
   one per length-k chain of upper-triangular non-diagonal weight matrices
   descending from a top weight to lam; within a degree the chain alone
-  names its summand.  Differentials are stored as arrows, plain (target
-  chain, step, scalar) triples (compose with the first chain step, or merge
-  two adjacent steps), never as materialised algebra elements; matrices only
-  appear after applying a Hom functor, where each summand collapses to a
-  single weight slice.
+  names its summand.  The differential out of a chain has one arrow that
+  composes with its first step and arrows that merge two adjacent steps;
+  matrices only appear after applying a Hom functor, where each summand
+  collapses to a single weight slice.  ``chain_resolution`` lists every
+  degree's arrows at once as integer arrays over the numbered chains of
+  ``shapes.ChainSpace``; ``sy_degree`` and ``sy_arrows`` spell out the same
+  summands and arrows one chain at a time, in matrices.
 * The hook resolution P_*(a, b) for lam = (a, 1^b): degree i is a sum of
   divided-power modules indexed by positive compositions with first part in
   [a, a+i]; the differential splits one tensor factor in two.
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .fparith import check_prime
 from .schur import xi_product_terms
 from .shapes import (
@@ -28,6 +32,7 @@ from .shapes import (
     Matrix,
     chain_space,
     enumerate_compositions,
+    expand_ranges,
     is_partition,
     validate_partition,
 )
@@ -69,6 +74,124 @@ def sy_arrows(chain: tuple[Matrix, ...], p: int) -> list[tuple]:
         for merged, coeff in xi_product_terms(chain[i - 1], chain[i], p):
             arrows.append((chain[: i - 1] + (merged,) + chain[i + 1 :], None, sign * coeff % p))
     return arrows
+
+
+class ChainResolution:
+    """The differentials of the chain resolution of lam over F_p, as arrays
+    over the numbered chains of ``chain_space(lam)``.
+
+    The chains of all degrees are numbered one after another, degree k from
+    ``chain_starts[k]`` on in ``ChainSpace.layer`` order.  ``arrows(d)``
+    holds one entry per arrow of ``sy_arrows`` out of the chains of degrees
+    1 .. d-1, as int32 arrays (row, col, key, scalar) plus the bounds that
+    cut them by degree: row and col are the numbers of the source chain and of
+    the target chain one degree lower, and the key names the block, step s
+    for the compose arrow with that step and ``len(space.steps) + t`` for
+    the identity on top t, which every merge arrow carries.
+
+    The merges come from one table over the pairs of steps that meet in a
+    chain, a step a and a step b out of the weight a reaches: pair
+    ``pair_start[a] + b - first[target of a]`` has the products
+    ``xi_product_terms(a, b, p)`` as merged step ids and coefficients in
+    ``merged[indptr[i]:indptr[i+1]]`` and ``coeffs[...]``.
+    """
+
+    def __init__(self, lam: Composition, p: int):
+        self.space = space = chain_space(lam)
+        self.p = p
+        self.chain_starts = np.concatenate(([0], np.cumsum(space.starts[:, -1])))
+        # per degree, the chains of each top as (top, range of their indices)
+        self.runs = [
+            [(t, range(a, b)) for t, (a, b) in enumerate(zip(row, row[1:])) if a < b]
+            for row in space.starts.tolist()
+        ]
+        # per step a, the number of steps b that can follow it
+        followers = np.diff(space.first)[space.step_target]
+        self.pair_start = np.cumsum(followers) - followers
+        self._table = ()  # (indptr, merged, coeffs)
+        self._table_degrees = 0
+        self._chain_tops = np.zeros(0, dtype=np.int64)
+        self._arrows = tuple(np.zeros(0, dtype=np.int32) for _ in range(4))
+        self._bounds = [0]  # the arrows out of degree k end at _bounds[k]
+
+    def chain_tops(self, degrees: int) -> np.ndarray:
+        """The top index of every chain of degrees 0 .. degrees-1, in order."""
+        if len(self._chain_tops) < self.chain_starts[degrees]:
+            counts = self.space.profiles[:, :degrees]
+            self._chain_tops = np.repeat(np.tile(np.arange(len(counts)), degrees), counts.T.ravel())
+        return self._chain_tops[: self.chain_starts[degrees]]
+
+    def _merge_table(self, degrees: int):
+        """Make the CSR arrays described above cover the pairs that meet in
+        a chain of degree < ``degrees``: those whose second step reaches a
+        weight with a chain of length <= degrees - 3 down to lam.  The other
+        pairs are left without products until a later call needs them."""
+        if self._table_degrees < degrees:
+            space = self.space
+            reaches = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target].tolist()
+            sizes, merged, coeffs = [], [], []
+            for w, t in zip(space.steps, space.step_target.tolist()):
+                for b in range(space.first[t], space.first[t + 1]):
+                    terms = xi_product_terms(w, space.steps[b], self.p) if reaches[b] else ()
+                    sizes.append(len(terms))
+                    merged.extend(space.step_index[m] for m, _ in terms)
+                    coeffs.extend(c for _, c in terms)
+            indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+            self._table = (indptr, np.array(merged, dtype=np.int64),
+                           np.array(coeffs, dtype=np.int64))
+            self._table_degrees = degrees
+        return self._table
+
+    def arrows(self, degrees: int):
+        """(rows, cols, keys, scalars, bounds) for the differentials among
+        degrees 0 .. degrees-1 (at most ``space.max_length() + 1``): the
+        arrows into degree k are those from bounds[k] to bounds[k+1]."""
+        if len(self._bounds) < degrees:
+            table = self._merge_table(degrees)
+            parts = [self._degree_arrows(k, *table) for k in range(len(self._bounds), degrees)]
+            self._arrows = tuple(map(np.concatenate, zip(self._arrows, *parts)))
+            ends = self._bounds[-1] + np.cumsum([len(part[0]) for part in parts])
+            self._bounds.extend(ends.tolist())
+        cut = self._bounds[degrees - 1]
+        return (*(column[:cut] for column in self._arrows), self._bounds[:degrees])
+
+    def _degree_arrows(self, k: int, indptr, merged, coeffs) -> tuple[np.ndarray, ...]:
+        # the arrows out of the degree-k chains, k >= 1
+        space, p = self.space, self.p
+        chains, tails = space.layer(k)
+        n = len(chains)
+        rows = self.chain_starts[k] + np.arange(n)
+        tops = np.repeat(np.arange(len(space.tops)), space.profiles[:, k])
+        parts = [(rows, self.chain_starts[k - 1] + tails, chains[:, 0], np.ones(n, dtype=np.int64))]
+        if k > 1:
+            # a merge at position i moves each step j < i-1 one place nearer
+            # the end of a shorter chain and keeps each step j > i in place
+            kept = space.prefix[chains, np.arange(k - 1, -1, -1)]
+            moved = space.prefix[chains[:, : k - 1], np.arange(k - 2, -1, -1)]
+            zero = np.zeros((n, 1), dtype=np.int64)
+            before = np.concatenate((zero, moved.cumsum(axis=1)), axis=1)
+            after = np.concatenate((kept[:, ::-1].cumsum(axis=1)[:, ::-1], zero), axis=1)
+            base = self.chain_starts[k - 1] + space.starts[k - 1][tops]
+            for i in range(1, k):
+                a, b = chains[:, i - 1], chains[:, i]
+                pair = self.pair_start[a] + b - space.first[space.step_target[a]]
+                sizes = indptr[pair + 1] - indptr[pair]
+                entries = expand_ranges(indptr[pair], sizes)
+                source = np.repeat(np.arange(n), sizes)
+                cols = (base + before[:, i - 1] + after[:, i + 1])[source]
+                cols += space.prefix[merged[entries], k - 1 - i]
+                keys = len(space.steps) + tops[source]
+                parts.append((rows[source], cols, keys, (-1) ** i * coeffs[entries] % p))
+        # int32 holds every chain number, step id and scalar (p <= 2^16)
+        return tuple(np.concatenate(column, dtype=np.int32) for column in zip(*parts))
+
+
+@lru_cache(maxsize=None)
+def chain_resolution(lam: Composition, p: int) -> ChainResolution:
+    """The chain resolution of lam over F_p with its arrows as arrays,
+    built once per (lam, p)."""
+    check_prime(p)
+    return ChainResolution(validate_partition(lam), p)
 
 
 def sy_max_degree(lam) -> int:

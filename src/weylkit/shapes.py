@@ -263,6 +263,19 @@ def enumerate_theta(w, pi) -> list[Tensor]:
     return results
 
 
+def _upper_triangular_array(row_sums: Composition) -> np.ndarray:
+    """``enumerate_upper_triangular(row_sums)`` as an (m, n, n) int64 array,
+    in the same order."""
+    n = len(row_sums)
+    rows = [
+        np.array([(0,) * s + c for c in enumerate_compositions(n - s, total)], dtype=np.int64)
+        for s, total in enumerate(row_sums)
+    ]
+    # the index grid in C order lets row 0 vary slowest, as a product does
+    picks = np.indices([len(row) for row in rows]).reshape(n, -1)
+    return np.stack([row[pick] for row, pick in zip(rows, picks)], axis=1)[1:]
+
+
 def enumerate_upper_triangular(row_sums: Composition) -> tuple[Matrix, ...]:
     """Upper triangular matrices with the given row sums and at least one
     nonzero entry strictly above the diagonal: the row-sum fibre of the span
@@ -274,12 +287,7 @@ def enumerate_upper_triangular(row_sums: Composition) -> tuple[Matrix, ...]:
     the product is descending-lex on the flattened matrix; its first element
     puts each row sum on the diagonal and is dropped.
     """
-    n = len(row_sums)
-    rows = [
-        [(0,) * s + c for c in enumerate_compositions(n - s, total)]
-        for s, total in enumerate(row_sums)
-    ]
-    return tuple(product(*rows))[1:]
+    return tuple(tuple(map(tuple, w)) for w in _upper_triangular_array(tuple(row_sums)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +446,18 @@ def kostka(mu, alpha) -> int:
 # dominance chains of upper triangular steps
 
 
+def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` over the slices bounds[t]:bounds[t+1]."""
+    total = np.concatenate(([0], np.cumsum(values)))
+    return total[bounds[1:]] - total[bounds[:-1]]
+
+
+def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of range(starts[i], starts[i] + counts[i]) over i."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
+
+
 class ChainSpace:
     """Chains (w_1, ..., w_k) of upper-triangular non-diagonal weight matrices
     linking a top weight down to a fixed bottom weight lam:
@@ -446,57 +466,87 @@ class ChainSpace:
 
     The chain resolution of lam has one degree-k summand per length-k chain
     from one of ``tops``: lam itself (the empty chain), then the weights
-    strictly dominating it.  The steps out of a weight are found once.  Each
-    weight's count profile, its number of chains down to lam at every length,
+    strictly dominating it.  The steps are numbered: ``steps[s]`` is the
+    matrix of step s, the steps out of ``tops[t]`` are the ids
+    ``first[t]:first[t+1]`` in descending-lex order, and ``step_target[s]``
+    is the index of the top that step s reaches.  Only steps whose column
+    sum still dominates lam are kept: no other step reaches lam.
+
+    ``profiles[t, k]`` counts the length-k chains from ``tops[t]``, which
     gives both the counts used for cheap resource estimates and the
-    resolution length; the chains themselves are materialised separately.
+    resolution length.  The chains of degree k are listed top by top, in
+    ``tops`` order (the block of top t starts at ``starts[k, t]``), and
+    within a top by first step, then by the chain that follows it;
+    ``layer(k)`` holds them as rows of step ids.  So a chain's
+    index in its top's block is the sum over its steps s_j of
+    ``prefix[s_j, k-1-j]``, the number of chains of that length that leave
+    the same weight by an earlier step.
     """
 
     def __init__(self, lam: Composition):
         self.lam = tuple(lam)
         self.tops = (self.lam, *enumerate_strictly_dominating(self.lam))
-        self._step_cache: dict[Composition, tuple[tuple[Matrix, Composition], ...]] = {}
-        self._profile_cache: dict[Composition, tuple[int, ...]] = {}
-        self._chain_cache: dict[tuple[Composition, int], tuple[tuple[Matrix, ...], ...]] = {}
+        self.top_index = {alpha: t for t, alpha in enumerate(self.tops)}
+        floor = np.cumsum(self.lam)
+        tables = []
+        for alpha in self.tops:
+            table = _upper_triangular_array(alpha)
+            tables.append(table[(table.sum(axis=1).cumsum(axis=1) >= floor).all(axis=1)])
+        table = np.concatenate(tables)
+        self.steps: list[Matrix] = [tuple(map(tuple, w)) for w in table.tolist()]
+        self.step_index = {w: s for s, w in enumerate(self.steps)}
+        self.first = np.concatenate(([0], np.cumsum([len(t) for t in tables])))
+        targets = map(tuple, table.sum(axis=1).tolist())
+        self.step_target = np.array([self.top_index[b] for b in targets], dtype=np.int64)
 
-    def _steps(self, alpha: Composition) -> tuple[tuple[Matrix, Composition], ...]:
-        """The steps w out of alpha with their column sums, keeping only those
-        whose column sum still dominates lam: no other step reaches lam."""
-        if alpha not in self._step_cache:
-            pairs = ((w, margin1(w)) for w in enumerate_upper_triangular(alpha))
-            self._step_cache[alpha] = tuple((w, b) for w, b in pairs if dominates(b, self.lam))
-        return self._step_cache[alpha]
-
-    def _profile(self, alpha: Composition) -> tuple[int, ...]:
-        """Entry k is the number of length-k chains from alpha down to lam."""
-        if alpha not in self._profile_cache:
-            profile = [int(alpha == self.lam)]
-            for _, beta in self._steps(alpha):
-                below = self._profile(beta)
-                profile.extend([0] * (len(below) + 1 - len(profile)))
-                for k, c in enumerate(below, 1):
-                    profile[k] += c
-            self._profile_cache[alpha] = tuple(profile)
-        return self._profile_cache[alpha]
+        counts = [np.zeros(len(self.tops), dtype=np.int64)]
+        counts[0][0] = 1  # the empty chain of lam
+        while counts[-1].any():
+            counts.append(_segment_sums(counts[-1][self.step_target], self.first))
+        self.profiles = np.stack(counts[:-1], axis=1)
+        # starts[k, t]: the index in degree k of the first chain from tops[t];
+        # the last column is the number of degree-k chains
+        self.starts = np.zeros((self.profiles.shape[1], len(self.tops) + 1), dtype=np.int64)
+        np.cumsum(self.profiles.T, axis=1, out=self.starts[:, 1:])
+        below = self.profiles[self.step_target]
+        self.prefix = np.cumsum(below, axis=0) - below
+        source = np.repeat(np.arange(len(self.tops)), np.diff(self.first))
+        self.prefix -= self.prefix[self.first[source]]
+        self._layer_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def count(self, alpha: Composition, k: int) -> int:
-        profile = self._profile(tuple(alpha))
-        return profile[k] if 0 <= k < len(profile) else 0
+        t = self.top_index.get(tuple(alpha))
+        return int(self.profiles[t, k]) if t is not None and 0 <= k < self.profiles.shape[1] else 0
+
+    def layer(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(chains, tails) for 0 <= k <= ``max_length()``: the degree-k chains
+        as a (count, k) int32 array of step ids, and for k >= 1 the index in
+        degree k-1 of each chain with its first step dropped."""
+        if k not in self._layer_cache:
+            if k == 0:
+                chains = np.zeros((1, 0), dtype=np.int32)  # the empty chain of lam
+                tails = np.zeros(0, dtype=np.int32)
+            else:
+                below, _ = self.layer(k - 1)
+                starts = self.starts[k - 1]
+                sizes = np.diff(starts)[self.step_target]
+                tails = expand_ranges(starts[:-1][self.step_target], sizes).astype(np.int32)
+                firsts = np.repeat(np.arange(len(self.steps), dtype=np.int32), sizes)
+                chains = np.concatenate((firsts[:, None], below[tails]), axis=1)
+            self._layer_cache[k] = (chains, tails)
+        return self._layer_cache[k]
 
     def chains(self, alpha: Composition, k: int) -> tuple[tuple[Matrix, ...], ...]:
-        alpha = tuple(alpha)
-        if k == 0:
-            return ((),) if alpha == self.lam else ()
-        key = (alpha, k)
-        if key not in self._chain_cache:
-            self._chain_cache[key] = tuple(
-                (w,) + tail for w, beta in self._steps(alpha) for tail in self.chains(beta, k - 1)
-            )
-        return self._chain_cache[key]
+        """The length-k chains from alpha as tuples of matrices."""
+        t = self.top_index.get(tuple(alpha))
+        if t is None or self.count(alpha, k) == 0:
+            return ()
+        block = self.layer(k)[0][self.starts[k, t] : self.starts[k, t + 1]]
+        return tuple(tuple(map(self.steps.__getitem__, chain)) for chain in block.tolist())
 
     def max_length(self) -> int:
         """Largest k for which some chain exists from a top down to lam."""
-        return max(len(self._profile(alpha)) for alpha in self.tops) - 1
+        return self.profiles.shape[1] - 1
 
 
 @lru_cache(maxsize=None)

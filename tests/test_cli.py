@@ -11,6 +11,7 @@ import weylkit.cli
 import weylkit.ext
 from weylkit.cli import build_parser, main
 from weylkit.ext import MAX_DEGREE
+from weylkit.shapes import ChainSpace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -243,18 +244,17 @@ UNLINKED_RECORDS = [
 
 @pytest.mark.parametrize("argv, expected", UNLINKED_RECORDS, ids=["weyl", "simple", "truncated"])
 def test_unlinked_ext_records_pinned_without_chains(capsys, monkeypatch, argv, expected):
-    monkeypatch.setattr(weylkit.ext, "sy_degree", _raise(AssertionError("chain enumerated")))
-    monkeypatch.setattr(weylkit.ext, "sy_arrows", _raise(AssertionError("arrows listed")))
+    monkeypatch.setattr(weylkit.ext, "chain_resolution", _raise(AssertionError("arrows listed")))
+    monkeypatch.setattr(ChainSpace, "layer", _raise(AssertionError("chain enumerated")))
     code, out, _ = run(capsys, "ext", *argv)
     assert code == 0
     assert json.dumps(json.loads(out)["result"]) == expected
 
 
-@pytest.mark.parametrize("name", ["sy_degree", "sy_arrows"])
-def test_verify_builds_unlinked_pairs_in_full(capsys, monkeypatch, name):
+def test_verify_builds_unlinked_pairs_in_full(capsys, monkeypatch):
     # the periodicity oracle never takes the linkage shortcut: on the
-    # unlinked pair (2, 1) -> (3) at p = 2 it still enumerates the chains
-    monkeypatch.setattr(weylkit.ext, name, _raise(LookupError("reached")))
+    # unlinked pair (2, 1) -> (3) at p = 2 it still builds the resolution
+    monkeypatch.setattr(weylkit.ext, "chain_resolution", _raise(LookupError("reached")))
     code, out, err = run(capsys, "verify", "--theorem", "1.1.1", "--p", "2", "--d", "1",
                          "--lambda", "2,1", "--mu", "3")
     assert code == 4 and out == ""
@@ -641,3 +641,44 @@ def test_resolve_info_negative_max_degree_is_usage_error(capsys):
     code, out, err = run(capsys, "resolve-info", "--lambda", "2,1", "--max-degree", "-1")
     assert code == 2 and out == ""
     assert "--max-degree" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext", "--p", "3", "--lambda", "2,1", "--mu", "3"),
+    ("verify", "--theorem", "1.1.1", "--p", "2", "--d", "1", "--lambda", "2,1", "--mu", "3"),
+    ("survey", "--p", "2", "--r", "2"),
+    ("kostka", "--mu", "2,1", "--alpha", "1,1,1"),
+    ("p-kostka", "--p", "2", "--mu", "2,1", "--alpha", "1,1,1"),
+    ("straighten", "--p", "2", "--mu", "2,1", "--tableau", "1,2/2"),
+    ("gram", "--p", "2", "--mu", "2,1", "--alpha", "1,1,1"),
+    ("resolve-info", "--lambda", "2,1", "--max-degree", "2"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_rank_below_one_is_usage_error(capsys, argv, n):
+    # ext and survey used to read --n 0 as "not given"
+    code, out, err = run(capsys, *argv, "--n", n)
+    assert code == 2 and out == ""
+    assert "--n must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--max-basis", "-1"),
+    ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--max-r", "-5"),
+    ("survey", "--p", "2", "--r", "2", "--max-basis", "-3"),
+    ("survey", "--p", "2", "--r", "2", "--max-r", "-1"),
+], ids=["ext-max-basis", "ext-max-r", "survey-max-basis", "survey-max-r"])
+def test_negative_size_cap_is_usage_error(capsys, argv):
+    # a negative cap used to end as a resource cap (exit 3), or in survey as
+    # every pair skipped with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "must be nonnegative" in captured.err
+
+
+def test_zero_size_caps_stay_valid(capsys):
+    code, _, err = run(capsys, "ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--max-r", "0")
+    assert code == 3 and "cap" in err
+    code, out, err = run(capsys, "survey", "--p", "2", "--r", "2", "--max-basis", "0")
+    assert (code, out) == (0, "") and "skipped: cap" in err

@@ -21,7 +21,17 @@ from weylkit.ext import (
     verify_periodicity,
 )
 from weylkit.linalg import SparseMod
-from weylkit.shapes import dominates, enumerate_partitions, linked, pad
+from weylkit.resolutions import chain_resolution, sy_arrows, sy_degree
+from weylkit.shapes import (
+    ChainSpace,
+    chain_space,
+    dominates,
+    enumerate_partitions,
+    linked,
+    matrix_margins,
+    pad,
+    plus_shift_composition,
+)
 
 
 def test_complex_dims_worked_example():
@@ -430,8 +440,8 @@ def test_unlinked_shortcut_matches_the_full_build(monkeypatch):
                             expected[lam, mu, p, target, max_degree] = (
                                 dims, holds if applicable else None)
     assert len(expected) == 930
-    monkeypatch.setattr(weylkit.ext, "sy_degree", _raise_if_called)
-    monkeypatch.setattr(weylkit.ext, "sy_arrows", _raise_if_called)
+    monkeypatch.setattr(weylkit.ext, "chain_resolution", _raise_if_called)
+    monkeypatch.setattr(ChainSpace, "layer", _raise_if_called)
     for (lam, mu, p, target, max_degree), (dims, consistent) in expected.items():
         got = compute_ext(lam, mu, p, target, max_degree)
         assert got == (dims, consistent), (lam, mu, p, target, max_degree)
@@ -523,3 +533,108 @@ def test_determinant_twist_keeps_ext():
                         assert _ext(cache, lam, mu, p, target) == _ext(cache, lam1, mu1, p, target)
                         cases += 1
     assert cases == 64
+
+
+# ---------------------------------------------------------------------------
+# the numbered chain resolution against the per-chain arrows
+
+
+def _diffs_from_sy_arrows(lam, mu, p, target, degrees):
+    """The differentials of Hom(chain resolution of lam, M) laid out one
+    chain at a time from ``sy_degree`` and ``sy_arrows``: summands with a
+    zero-dimensional slice dropped, blocks the action matrix of the arrow's
+    step or the identity, entries summed mod p."""
+    act = weylkit.ext._act
+    offsets, dims = [], []
+    for k in range(degrees):
+        place, offset = {}, 0
+        for top, chain in sy_degree(lam, k):
+            d = weylkit.ext._weight_dim(mu, top, p, target)
+            if d:
+                place[chain] = (offset, d)
+                offset += d
+        offsets.append(place)
+        dims.append(offset)
+    diffs = []
+    for k in range(degrees - 1):
+        rows, cols, vals = [], [], []
+        for chain, (row_off, d) in offsets[k + 1].items():
+            for to, step, scalar in sy_arrows(chain, p):
+                if to not in offsets[k]:
+                    continue
+                block = np.eye(d, dtype=np.int64) if step is None else act(step, mu, p, target)
+                r, c = np.nonzero(block)
+                rows.append(r + row_off)
+                cols.append(c + offsets[k][to][0])
+                vals.append(block[r, c] * scalar)
+        pieces = [np.concatenate([np.zeros(0, dtype=np.int64), *part]) for part in (rows, cols, vals)]
+        diffs.append(SparseMod.from_entries((dims[k + 1], dims[k]), *pieces, p))
+    return dims, diffs
+
+
+def _numbered_grid():
+    # dominated pairs with n in {2, 3, 4} and r <= 6, and their shifts by p^d, d in {1, 2}
+    for n in (2, 3, 4):
+        for r in range(1, 7):
+            for lam, mu in _dominated_pairs(n, r):
+                for p in (2, 3):
+                    yield lam, mu, p
+                    for d in (1, 2):
+                        yield plus_shift_composition(lam, d, p), plus_shift_composition(mu, d, p), p
+
+
+def test_numbered_differentials_match_the_per_chain_arrows():
+    # a build truncated at degree 1 comes first, so the merge table grows
+    # from the pairs its degrees reach to all of them
+    chain_resolution.cache_clear()
+    cases = 0
+    for lam, mu, p in _numbered_grid():
+        for target in ("weyl", "simple"):
+            for max_degree in (1, None):
+                hc = build_hom_complex(lam, mu, p, target, max_degree)
+                dims, diffs = _diffs_from_sy_arrows(lam, mu, p, target, hc.stored_degrees())
+                assert hc.dims == dims, (lam, mu, p, target)
+                assert all(a == b for a, b in zip(hc.diffs, diffs, strict=True)), (lam, mu, p, target)
+            cases += 1
+    assert cases == 2160
+
+
+def test_prefix_counts_index_the_chains():
+    # the prefix-count formula gives every chain its place in its top's
+    # block, in the order of ChainSpace.chains: descending lex on the steps,
+    # each step's matrix read row by row
+    for n in (2, 3, 4):
+        for r in range(1, 7):
+            for lam in enumerate_partitions(n, r):
+                space = chain_space(lam)
+                for k in range(space.max_length() + 1):
+                    chains, _ = space.layer(k)
+                    for t, top in enumerate(space.tops):
+                        block = chains[space.starts[k, t] : space.starts[k, t + 1]]
+                        decoded = space.chains(top, k)
+                        assert len(decoded) == space.count(top, k) == len(block)
+                        assert list(decoded) == sorted(set(decoded), reverse=True)
+                        index = space.prefix[block, np.arange(k - 1, -1, -1)].sum(axis=1)
+                        assert index.tolist() == list(range(len(block)))
+
+
+def test_action_blocks_only_for_arrows_between_nonzero_slices(monkeypatch):
+    act = weylkit.ext._act
+    requested = []
+
+    def recording_act(w, mu, p, target):
+        requested.append((w, mu, p, target))
+        return act(w, mu, p, target)
+
+    weylkit.ext._act_entries.cache_clear()
+    monkeypatch.setattr(weylkit.ext, "_act", recording_act)
+    cases = [((2, 2, 1), (4, 1, 0), 2), ((3, 2, 1), (5, 1, 0), 3), ((2, 1, 1), (4, 0, 0), 3)]
+    for lam, mu, p in cases:
+        for target in ("weyl", "simple"):
+            build_hom_complex(lam, mu, p, target)
+    assert requested
+    for w, mu, p, target in requested:
+        rows, cols = matrix_margins(w)[::-1]
+        assert weylkit.ext._weight_dim(mu, rows, p, target) > 0
+        assert weylkit.ext._weight_dim(mu, cols, p, target) > 0
+    weylkit.ext._act_entries.cache_clear()
