@@ -11,6 +11,7 @@ import weylkit.cli
 import weylkit.ext
 from weylkit.cli import build_parser, main
 from weylkit.ext import MAX_DEGREE
+from weylkit.resolutions import ChainResolution, chain_resolution
 from weylkit.shapes import ChainSpace
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -251,10 +252,20 @@ def test_unlinked_ext_records_pinned_without_chains(capsys, monkeypatch, argv, e
     assert json.dumps(json.loads(out)["result"]) == expected
 
 
-def test_verify_builds_unlinked_pairs_in_full(capsys, monkeypatch):
+# each case names a stage of the resolution's build by the per-chain function
+# that did it before the chains were numbered: sy_degree enumerated the chains,
+# sy_arrows listed the arrows; chain_resolution is the one entry point
+@pytest.mark.parametrize("owner, attr", [
+    (ChainSpace, "layer"),
+    (ChainResolution, "arrows"),
+    (weylkit.ext, "chain_resolution"),
+], ids=["sy_degree", "sy_arrows", "chain_resolution"])
+def test_verify_builds_unlinked_pairs_in_full(capsys, monkeypatch, owner, attr):
     # the periodicity oracle never takes the linkage shortcut: on the
-    # unlinked pair (2, 1) -> (3) at p = 2 it still builds the resolution
-    monkeypatch.setattr(weylkit.ext, "chain_resolution", _raise(LookupError("reached")))
+    # unlinked pair (2, 1) -> (3) at p = 2 it still builds the resolution;
+    # an uncached builder keeps earlier builds from hiding the enumeration
+    monkeypatch.setattr(weylkit.ext, "chain_resolution", chain_resolution.__wrapped__)
+    monkeypatch.setattr(owner, attr, _raise(LookupError("reached")))
     code, out, err = run(capsys, "verify", "--theorem", "1.1.1", "--p", "2", "--d", "1",
                          "--lambda", "2,1", "--mu", "3")
     assert code == 4 and out == ""
