@@ -24,7 +24,6 @@ from .shapes import (
     matrix_margins,
     plus_shift_composition,
     plus_shift_matrix,
-    plus_shift_tensor,
 )
 from .schur import (
     SchurElement,
@@ -36,7 +35,6 @@ from .schur import (
 from .weyl import (
     GramData,
     WeightSpaceModel,
-    act,
     act_matrix,
     box_relation_vectors,
     build_weight_space,

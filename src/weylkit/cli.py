@@ -40,7 +40,7 @@ from .ext import (
     verify_hom_bound,
     verify_periodicity,
 )
-from .resolutions import is_hook, sy_max_degree
+from .resolutions import is_hook
 from .schur import xi_product
 from .shapes import (
     Tableau,
@@ -359,8 +359,8 @@ def cmd_resolve_info(args) -> int:
     if args.max_degree < 0:
         raise ValueError("--max-degree must be nonnegative")
     lam = validate_partition(parse_composition(args.lam, n=_rank(args, None)))
-    length = sy_max_degree(lam)
     space = chain_space(lam)
+    length = space.max_length()
     degrees = []
     for k in range(min(args.max_degree, length) + 1):
         counts = ((alpha, space.count(alpha, k)) for alpha in space.tops)
@@ -522,6 +522,9 @@ def main(argv=None) -> int:
         # let the interpreter's last flush of stdout go to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except OSError as exc:  # a path given by --out, --cache-dir or $WEYLKIT_CACHE
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

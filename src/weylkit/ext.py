@@ -10,10 +10,10 @@ and scalars (merge arrows).  M is either a Weyl module or its simple head.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -96,14 +96,14 @@ def _act_entries(w, mu: Composition, p: int, target: str):
 class HomComplex:
     """Hom(resolution of lam, M) as explicit matrices over F_p.
 
-    ``summands[k]`` lists ((top, key), dim, offset) for the degree-k basis,
-    zero-dimensional summands dropped: the summand's top weight and the key
-    that names it within its degree (a chain's index among the degree-k
-    chains of ``chain_space(lam)``, or a hook composition), the dimension
-    of its weight slice and its first coordinate.  ``diffs[k]``
-    maps degree-k coordinates to degree-(k+1) coordinates and is stored
-    sparse, as a ``SparseMod`` of shape (dims[k+1], dims[k]) holding only its
-    nonzero entries.  Cohomology in degree i is exact for all i <= report_degree.
+    ``summands[k]`` is an int array of the degree-k summands with a nonzero
+    weight slice, each by its index within the degree (among the degree-k
+    chains of ``chain_space(lam)``, or the hook terms), in basis order: each
+    contributes its slice's coordinates, one summand after another.
+    ``diffs[k]`` maps degree-k coordinates to degree-(k+1) coordinates and
+    is stored sparse, as a ``SparseMod`` of shape (dims[k+1], dims[k])
+    holding only its nonzero entries.  Cohomology in degree i is exact for
+    all i <= report_degree.
     """
 
     lam: Composition
@@ -112,7 +112,7 @@ class HomComplex:
     target: str
     report_degree: int
     natural_length: int
-    summands: list[list[tuple[tuple[Composition, object], int, int]]]
+    summands: list[np.ndarray]
     dims: list[int]
     diffs: list[SparseMod]
     _ranks: list[int] | None = field(default=None, repr=False)
@@ -179,42 +179,32 @@ def _top_dims(tops, mu: Composition, p: int, target: str) -> np.ndarray:
     return np.array([_weight_dim(mu, top, p, target) for top in tops], dtype=np.int64)
 
 
-def _assemble(tops, top_dims, layout, top_index, arrows, steps, mu: Composition, p: int,
+def _assemble(top_dims, summand_tops, starts, arrows, steps, mu: Composition, p: int,
               target: str):
     """Lay out the bases of a Hom complex into M and collect its
     differentials' nonzero entries into one ``SparseMod`` per degree.
 
-    A summand with top t contributes the weight-t slice of M (``target``
-    of ``mu``), of dimension ``top_dims[t]``.  ``layout[k]`` lists the
-    degree-k summands in basis order as runs (t, keys): summands with top
-    ``tops[t]``, one per key that names it.  The summands of all degrees
-    are also numbered one after another, and ``top_index`` gives the top of
-    each.  ``arrows`` is (rows, cols, keys, scalars, bounds): each arrow
-    runs from summand ``rows[i]`` to summand ``cols[i]`` one degree lower,
-    those into degree k from bounds[k] to bounds[k+1]; its block is the
-    action matrix of ``steps[key]``, or for key ``len(steps) + t`` the
-    identity on the slice of top t, times its scalar.  Arrows with a
-    zero-dimensional end are dropped before any block is made.  Returns
-    (summands, dims, diffs) in the layout of ``HomComplex``.
+    The summands of all degrees are numbered one after another, degree k
+    from ``starts[k]`` to ``starts[k+1]``, in basis order.  Summand i has
+    top ``summand_tops[i]`` and contributes the weight slice of M
+    (``target`` of ``mu``) of dimension ``top_dims[summand_tops[i]]``.
+    ``arrows`` is (rows, cols, keys, scalars), ordered by the degree of
+    their row: each arrow runs from summand ``rows[i]`` to summand
+    ``cols[i]`` one degree lower, and its block is the action matrix of
+    ``steps[key]``, or for key ``len(steps) + t`` the identity on the slice
+    of top t, times its scalar.  Arrows with a zero-dimensional end are
+    dropped before any block is made.  Returns (summands, dims, diffs) in
+    the layout of ``HomComplex``.
     """
-    summands, dims = [], []
-    slice_dims = top_dims.tolist()
-    for runs in layout:
-        placed, offset = [], 0
-        for t, keys in runs:
-            d = slice_dims[t]
-            if d:
-                placed.extend(zip(zip(repeat(tops[t]), keys), repeat(d),
-                                  range(offset, offset + d * len(keys), d)))
-                offset += d * len(keys)
-        summands.append(placed)
-        dims.append(offset)
-
-    rows, cols, keys, scalars, bounds = arrows
-    width = top_dims[top_index]
-    live = np.flatnonzero(width[rows] * width[cols])
+    rows, cols, keys, scalars = arrows
+    width = top_dims[summand_tops]
+    coords = np.zeros(len(width) + 1, dtype=np.int64)  # of each summand, over all degrees
+    np.cumsum(width, out=coords[1:])
+    bases = coords[starts].tolist()
+    dims = [b - a for a, b in zip(bases, bases[1:])]
+    summands = [width[a:b].nonzero()[0] for a, b in zip(starts, starts[1:])]
+    live = (width[rows] * width[cols]).nonzero()[0]
     if live.size:
-        coords = np.cumsum(width) - width  # of each summand, counted over all degrees
         # the nonzero (rows, cols, vals) of each block in use, before its
         # scalar: the action matrix of a step, or the identity on a slice
         used, slot = np.unique(keys[live], return_inverse=True)
@@ -228,9 +218,9 @@ def _assemble(tops, top_dims, layout, top_index, arrows, steps, mu: Composition,
         r, c, v = map(np.concatenate, zip(*blocks))
         sizes = np.array([len(block[0]) for block in blocks], dtype=np.int64)
         firsts = np.cumsum(sizes) - sizes
-    bases = list(accumulate(dims, initial=0))
     diffs = []
-    cuts = np.searchsorted(live, bounds).tolist()
+    # the arrows into degree k+1 make diffs[k]
+    cuts = rows[live].searchsorted(starts[1:]).tolist()
     for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
         # one degree at a time, which bounds the memory the entries take
         if a == b:
@@ -300,15 +290,14 @@ def build_hom_complex(
     (target="weyl") or its simple head (target="simple")."""
     lam, mu = _check_pair(lam, mu)
     report, natural, totals, top_dims = _plan(lam, mu, p, target, max_degree, max_basis, max_r)
-    if not dominates(mu, lam):
-        return HomComplex(lam, mu, p, target, report, 0, [[]], [0], [])
+    if top_dims is None:
+        return HomComplex(lam, mu, p, target, report, 0, [_EMPTY], [0], [])
     resolution = chain_resolution(lam, p)
     degrees = len(totals)
     summands, dims, diffs = _assemble(
-        resolution.space.tops,
         top_dims,
-        resolution.runs[:degrees],
         resolution.chain_tops(degrees),
+        resolution.chain_starts[: degrees + 1],
         resolution.arrows(degrees),
         resolution.space.steps,
         mu,
@@ -515,14 +504,15 @@ def verify_hom_bound(lam, mu, p: int, d: int) -> dict:
 
 def _basis_elements(complex_: HomComplex, k: int) -> list[tuple[tuple, tuple]]:
     """Flat degree-k basis of a Weyl-target chain complex as (chain,
-    tableau counts) pairs, in offset order: each summand's slice has the
+    tableau counts) pairs, in basis order: each summand's slice has the
     semistandard tableaux of its top as basis."""
     space = chain_space(complex_.lam)
     chains = space.layer(k)[0]
+    starts = space.starts[k].tolist()  # a chain's top is the block it falls in
     return [
         (tuple(map(space.steps.__getitem__, chains[index].tolist())), t.counts)
-        for (top, index), _d, _off in complex_.summands[k]
-        for t in enumerate_sst(complex_.mu, top)
+        for index in complex_.summands[k].tolist()
+        for t in enumerate_sst(complex_.mu, space.tops[bisect_right(starts, index) - 1])
     ]
 
 
@@ -619,20 +609,17 @@ def build_hook_hom_complex(a: int, b: int, mu, p: int) -> HomComplex:
         )
     # the rows of each differential come after those of the one before
     table = np.array(arrows, dtype=np.int64).reshape(-1, 4).T
-    bounds = np.searchsorted(table[0], starts[1:]).tolist()
-    layers, dims, diffs = _assemble(
-        tops,
+    summands, dims, diffs = _assemble(
         _top_dims(tops, mu, p, "weyl"),
-        [[(j, (beta,)) for j, beta in enumerate(degree, first)]
-         for degree, first in zip(terms, starts)],
         np.arange(len(tops)),
-        (*table, bounds),
+        starts,
+        table,
         list(steps),
         mu,
         p,
         "weyl",
     )
-    return HomComplex(lam, mu, p, "weyl", b, b, layers, dims, diffs)
+    return HomComplex(lam, mu, p, "weyl", b, b, summands, dims, diffs)
 
 
 def hook_ext_crosscheck(

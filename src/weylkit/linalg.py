@@ -79,11 +79,6 @@ class SparseMod:
     def nnz(self) -> int:
         return int(self.vals.size)
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.int64)
-        out[self.rows, self.cols] = self.vals
-        return out
-
     def row_dicts(self) -> list[dict[int, int]]:
         """One {column: value} dict per row."""
         bounds = np.searchsorted(self.rows, np.arange(self.shape[0] + 1)).tolist()

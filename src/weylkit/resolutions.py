@@ -83,11 +83,11 @@ class ChainResolution:
     The chains of all degrees are numbered one after another, degree k from
     ``chain_starts[k]`` on in ``ChainSpace.layer`` order.  ``arrows(d)``
     holds one entry per arrow of ``sy_arrows`` out of the chains of degrees
-    1 .. d-1, as int32 arrays (row, col, key, scalar) plus the bounds that
-    cut them by degree: row and col are the numbers of the source chain and of
-    the target chain one degree lower, and the key names the block, step s
-    for the compose arrow with that step and ``len(space.steps) + t`` for
-    the identity on top t, which every merge arrow carries.
+    1 .. d-1, as int32 arrays (row, col, key, scalar), degree by degree: row
+    and col are the numbers of the source chain and of the target chain one
+    degree lower, and the key names the block, step s for the compose arrow
+    with that step and ``len(space.steps) + t`` for the identity on top t,
+    which every merge arrow carries.
 
     The merges come from one table over the pairs of steps that meet in a
     chain, a step a and a step b out of the weight a reaches: pair
@@ -99,12 +99,8 @@ class ChainResolution:
     def __init__(self, lam: Composition, p: int):
         self.space = space = chain_space(lam)
         self.p = p
-        self.chain_starts = np.concatenate(([0], np.cumsum(space.starts[:, -1])))
-        # per degree, the chains of each top as (top, range of their indices)
-        self.runs = [
-            [(t, range(a, b)) for t, (a, b) in enumerate(zip(row, row[1:])) if a < b]
-            for row in space.starts.tolist()
-        ]
+        # int32, as the arrows' rows are, so that searching them copies nothing
+        self.chain_starts = np.concatenate(([0], np.cumsum(space.starts[:, -1])), dtype=np.int32)
         # per step a, the number of steps b that can follow it
         followers = np.diff(space.first)[space.step_target]
         self.pair_start = np.cumsum(followers) - followers
@@ -112,7 +108,7 @@ class ChainResolution:
         self._table_degrees = 0
         self._chain_tops = np.zeros(0, dtype=np.int64)
         self._arrows = tuple(np.zeros(0, dtype=np.int32) for _ in range(4))
-        self._bounds = [0]  # the arrows out of degree k end at _bounds[k]
+        self._degrees = 1  # the arrows held are those among degrees below this
 
     def chain_tops(self, degrees: int) -> np.ndarray:
         """The top index of every chain of degrees 0 .. degrees-1, in order."""
@@ -143,17 +139,16 @@ class ChainResolution:
         return self._table
 
     def arrows(self, degrees: int):
-        """(rows, cols, keys, scalars, bounds) for the differentials among
-        degrees 0 .. degrees-1 (at most ``space.max_length() + 1``): the
-        arrows into degree k are those from bounds[k] to bounds[k+1]."""
-        if len(self._bounds) < degrees:
+        """(rows, cols, keys, scalars) for the differentials among degrees
+        0 .. degrees-1 (at most ``space.max_length() + 1``), ordered by the
+        degree of their row."""
+        if self._degrees < degrees:
             table = self._merge_table(degrees)
-            parts = [self._degree_arrows(k, *table) for k in range(len(self._bounds), degrees)]
+            parts = [self._degree_arrows(k, *table) for k in range(self._degrees, degrees)]
             self._arrows = tuple(map(np.concatenate, zip(self._arrows, *parts)))
-            ends = self._bounds[-1] + np.cumsum([len(part[0]) for part in parts])
-            self._bounds.extend(ends.tolist())
-        cut = self._bounds[degrees - 1]
-        return (*(column[:cut] for column in self._arrows), self._bounds[:degrees])
+            self._degrees = degrees
+        cut = self._arrows[0].searchsorted(self.chain_starts[degrees])
+        return tuple(column[:cut] for column in self._arrows)
 
     def _degree_arrows(self, k: int, indptr, merged, coeffs) -> tuple[np.ndarray, ...]:
         # the arrows out of the degree-k chains, k >= 1

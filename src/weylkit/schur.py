@@ -123,9 +123,6 @@ class SchurElement:
     def coefficients(self) -> dict[Matrix, int]:
         return dict(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _check_context(self, other: "SchurElement"):
         if (self.n, self.r, self.p) != (other.n, other.r, other.p):
             raise ValueError("elements live in different Schur algebras")

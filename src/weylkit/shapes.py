@@ -83,10 +83,6 @@ def dominates(a, b) -> bool:
     return True
 
 
-def strictly_dominates(a, b) -> bool:
-    return tuple(a) != tuple(b) and dominates(a, b)
-
-
 def linked(a, b, p: int) -> bool:
     """Whether the multisets {a_i - i mod p} and {b_i - i mod p} agree: for
     two compositions of one total, whether a and b are linked, that is, in
@@ -175,14 +171,6 @@ def matrix_total(w) -> int:
 def transpose_matrix(w) -> Matrix:
     n = len(w)
     return tuple(tuple(w[s][t] for s in range(n)) for t in range(n))
-
-
-def is_upper_triangular(w) -> bool:
-    return all(w[s][t] == 0 for s in range(len(w)) for t in range(s))
-
-
-def is_lower_triangular(w) -> bool:
-    return all(w[s][t] == 0 for s in range(len(w)) for t in range(s + 1, len(w)))
 
 
 def diagonal_matrix(nu) -> Matrix:
@@ -313,14 +301,6 @@ def plus_shift_matrix(w, d: int, p: int) -> Matrix:
     """Add p^d to the (1, 1) entry."""
     q = _check_shift(d, p)
     return ((w[0][0] + q,) + tuple(w[0][1:]),) + tuple(tuple(row) for row in w[1:])
-
-
-def plus_shift_tensor(t, d: int, p: int) -> Tensor:
-    """Add p^d to the (1, 1, 1) entry."""
-    q = _check_shift(d, p)
-    first_row = (t[0][0][0] + q,) + tuple(t[0][0][1:])
-    first_plane = (first_row,) + tuple(tuple(row) for row in t[0][1:])
-    return (first_plane,) + tuple(tuple(tuple(row) for row in plane) for plane in t[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -578,21 +558,9 @@ def parse_matrix(text: str) -> Matrix:
     return validate_matrix(rows)
 
 
-def format_matrix(w) -> str:
-    return "/".join(",".join(str(x) for x in row) for row in w)
-
-
 def parse_tableau_rows(text: str) -> list[list[int]]:
     """Entry lists of a tableau written row by row, e.g. "1,1,2/2,3"."""
     return [[int(x) for x in row.split(",")] if row else [] for row in text.split("/")]
-
-
-def parse_tableau(text: str, n: int | None = None) -> Tableau:
-    rows = parse_tableau_rows(text)
-    if n is None:
-        n = max((max(row) for row in rows if row), default=1)
-        n = max(n, len(rows))
-    return Tableau.from_entries(rows, n)
 
 
 def format_tableau(tab: Tableau) -> str:

@@ -26,7 +26,7 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from .fparith import binom_mod, binom_table, check_prime
-from .linalg import SparseMod, kernel_basis_mod, rref_mod
+from .linalg import SparseMod, rref_mod
 from .schur import xi_product_terms
 from .shapes import (
     Composition,
@@ -310,15 +310,6 @@ def act_matrix(w: Matrix, mu: Composition, p: int) -> np.ndarray:
     return out
 
 
-def act(w, vec, mu, p: int) -> np.ndarray:
-    """Apply xi_w to a vector in semistandard coordinates of its weight slice."""
-    vec = np.asarray(vec, dtype=np.int64)
-    src_dim = build_weight_space(mu, margin1(w), p).dim
-    if vec.shape != (src_dim,):
-        raise ValueError(f"vector has shape {vec.shape}, weight slice has dim {src_dim}")
-    return act_matrix(w, mu, p) @ vec % p
-
-
 # ---------------------------------------------------------------------------
 # contravariant form, radical, simple head
 
@@ -341,10 +332,6 @@ class GramData:
     gram: np.ndarray
     pivots: tuple[int, ...]
     projection: np.ndarray  # quotient coords from full coords
-
-    @property
-    def radical_basis(self) -> np.ndarray:
-        return kernel_basis_mod(self.gram, self.p)
 
     @property
     def radical_dim(self) -> int:

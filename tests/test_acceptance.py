@@ -36,7 +36,6 @@ from weylkit.shapes import (
     matrix_margins,
     plus_shift_composition,
     plus_shift_matrix,
-    plus_shift_tensor,
     transpose_matrix,
 )
 from weylkit.weyl import (
@@ -46,6 +45,8 @@ from weylkit.weyl import (
     straighten,
     two_row_straighten,
 )
+
+from helpers import plus_shift_tensor
 
 
 def report(criterion: str, started: float, budget: float, detail: str):
@@ -301,7 +302,7 @@ def test_criterion_6_property_suites():
                             mt = act_matrix(transpose_matrix(w), mu, p)
                             assert np.array_equal((m.T @ tgt.gram) % p, (src.gram @ mt) % p)
                             if src.radical_dim:
-                                image = (m @ src.radical_basis.T) % p
+                                image = (m @ kernel_basis_mod(src.gram, p).T) % p
                                 assert not np.any((tgt.gram @ image) % p)
     for mu in enumerate_partitions(2, 3):
         for alpha in enumerate_compositions(2, 3):

@@ -609,6 +609,24 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, env", [
+    (("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--out", "{missing}/x.json"), None),
+    (("survey", "--p", "2", "--r", "2", "--out", "{missing}/x.json"), None),
+    (("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--cache-dir", "{file}"), None),
+    (("ext", "--p", "2", "--lambda", "2,1", "--mu", "3"), "{file}"),
+], ids=["ext-out", "survey-out", "cache-dir", "cache-env"])
+def test_unusable_path_is_usage_error(tmp_path, capsys, monkeypatch, argv, env):
+    # these used to end as exit 4, "internal error: FileNotFoundError" or
+    # "NotADirectoryError"
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
+    paths["file"].write_text("", encoding="utf-8")
+    if env is not None:
+        monkeypatch.setenv("WEYLKIT_CACHE", env.format(**paths))
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -27,11 +27,14 @@ from weylkit.shapes import (
     chain_space,
     dominates,
     enumerate_partitions,
+    enumerate_sst,
     linked,
     matrix_margins,
     pad,
     plus_shift_composition,
 )
+
+from helpers import to_dense
 
 
 def test_complex_dims_worked_example():
@@ -44,6 +47,7 @@ def test_complex_dims_worked_example():
 def test_zero_complex_when_mu_does_not_dominate():
     hc = build_hom_complex((2, 0), (1, 1), 2)
     assert hc.ext_dims() == [0]
+    assert [s.tolist() for s in hc.summands] == [[]]
     assert euler_check(hc) == (True, True)
 
 
@@ -230,15 +234,15 @@ def test_complex_isomorphism_catches_one_altered_entry(monkeypatch, side):
 
 
 def _reverse_summands(hc: HomComplex, k: int):
-    """The same complex with degree k's summands in reverse order: offsets
-    rebuilt, and the rows of diffs[k-1] and columns of diffs[k] moved along."""
-    placed, old_of_new, offset = [], [], 0
-    for key, d, off in reversed(hc.summands[k]):
-        placed.append((key, d, offset))
-        old_of_new.extend(range(off, off + d))
-        offset += d
+    """The same complex with degree k's summands in reverse order: the rows
+    of diffs[k-1] and columns of diffs[k] moved along with their slices."""
+    space = chain_space(hc.lam)
+    tops = np.searchsorted(space.starts[k], hc.summands[k], side="right") - 1
+    dims = [weylkit.ext._weight_dim(hc.mu, space.tops[t], hc.p, hc.target) for t in tops.tolist()]
+    offsets = np.cumsum([0] + dims)
+    old_of_new = np.concatenate([np.arange(a, b) for a, b in zip(offsets, offsets[1:])][::-1])
     new_of_old = np.argsort(old_of_new)
-    hc.summands[k] = placed
+    hc.summands[k] = hc.summands[k][::-1]
     if k > 0:
         a = hc.diffs[k - 1]
         hc.diffs[k - 1] = SparseMod.from_entries(a.shape, new_of_old[a.rows], a.cols, a.vals, hc.p)
@@ -336,7 +340,7 @@ def _diffs_digest(complex_) -> str:
     h = hashlib.sha256()
     for d in complex_.diffs:
         h.update(repr(d.shape).encode())
-        h.update(np.ascontiguousarray(d.toarray(), dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(to_dense(d), dtype="<i8").tobytes())
     return h.hexdigest()[:16]
 
 
@@ -595,6 +599,14 @@ def test_numbered_differentials_match_the_per_chain_arrows():
                 dims, diffs = _diffs_from_sy_arrows(lam, mu, p, target, hc.stored_degrees())
                 assert hc.dims == dims, (lam, mu, p, target)
                 assert all(a == b for a, b in zip(hc.diffs, diffs, strict=True)), (lam, mu, p, target)
+                if target == "weyl" and max_degree is None:
+                    # the basis the isomorphism check compares, against sy_degree
+                    for k in range(hc.stored_degrees()):
+                        assert weylkit.ext._basis_elements(hc, k) == [
+                            (chain, t.counts)
+                            for top, chain in sy_degree(lam, k)
+                            for t in enumerate_sst(mu, top)
+                        ], (lam, mu, p, k)
             cases += 1
     assert cases == 2160
 

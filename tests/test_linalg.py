@@ -15,6 +15,8 @@ from weylkit.ext import build_hom_complex, build_hook_hom_complex
 from weylkit.linalg import SparseMod, rank_mod, rref_mod
 from weylkit.shapes import enumerate_partitions
 
+from helpers import to_dense
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -49,7 +51,7 @@ def test_sparse_rank_matches_dense_rref(case):
     dense %= p
     mat = SparseMod.from_entries(shape, rows, cols, vals, p)
     assert mat.shape == shape
-    assert np.array_equal(mat.toarray(), dense)
+    assert np.array_equal(to_dense(mat), dense)
     assert mat.nnz == np.count_nonzero(dense)
     # canonical form: strictly increasing row-major positions, values in [1, p)
     keys = mat.rows * max(shape[1], 1) + mat.cols
@@ -64,7 +66,7 @@ def test_sparse_rank_matches_dense_rref(case):
 def test_empty_shapes(shape):
     mat = SparseMod.from_entries(shape, [], [], [], 3)
     assert mat.shape == shape and mat.nnz == 0
-    assert mat.toarray().shape == shape
+    assert to_dense(mat).shape == shape
     assert rank_mod(mat, 3) == 0
     assert rank_mod(np.zeros(shape, dtype=np.int64), 3) == 0
 
@@ -113,7 +115,7 @@ def test_rank_of_every_grid_differential_matches_dense():
     for hc in itertools.chain(_chain_grid(), _hook_grid()):
         for d in hc.diffs:
             assert isinstance(d, SparseMod)
-            assert rank_mod(d, hc.p) == dense_rank(d.toarray(), hc.p), (hc.lam, hc.mu, hc.p)
+            assert rank_mod(d, hc.p) == dense_rank(to_dense(d), hc.p), (hc.lam, hc.mu, hc.p)
             checked += 1
     assert checked > 100
 

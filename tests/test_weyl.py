@@ -19,12 +19,11 @@ from weylkit.shapes import (
     plus_shift_composition,
     transpose_matrix,
 )
-from weylkit.linalg import SparseMod, rref_mod
+from weylkit.linalg import SparseMod, kernel_basis_mod, rref_mod
 from weylkit.resolutions import box_presentation
 from weylkit.schur import xi_product, xi_product_terms
 from weylkit import weyl
 from weylkit.weyl import (
-    act,
     act_matrix,
     act_matrix_simple,
     box_relation_vectors,
@@ -36,6 +35,8 @@ from weylkit.weyl import (
     two_row_straighten,
 )
 
+from helpers import to_dense
+
 
 def test_box_relations_column_shape():
     # the column pair (1,1) at weight (2,0): a single relation killing the
@@ -43,7 +44,7 @@ def test_box_relations_column_shape():
     monomials, relations = box_relation_vectors((1, 1), (2, 0), 2)
     assert len(monomials) == 1
     assert relations.shape == (1, 1)
-    assert relations.toarray()[0, 0] % 2 == 1
+    assert to_dense(relations)[0, 0] % 2 == 1
     for p in (2, 3, 5):
         model = build_weight_space((1, 1), (2, 0), p)
         assert model.dim == 0  # no semistandard filling of a column with two 1s
@@ -106,7 +107,7 @@ def _dense_model(mu, alpha, p):
     index = {w: i for i, w in enumerate(monomials)}
     sst_cols = [index[t.to_matrix()] for t in enumerate_sst(mu, alpha)]
     others = [c for c in range(len(monomials)) if c not in sst_cols]
-    reduced, pivots = rref_mod(relations.toarray()[:, others + sst_cols], p)
+    reduced, pivots = rref_mod(to_dense(relations)[:, others + sst_cols], p)
     assert pivots == list(range(len(others))), (mu, alpha, p)
     normal_form = np.zeros((len(monomials), len(sst_cols)), dtype=np.int64)
     normal_form[sst_cols, range(len(sst_cols))] = 1
@@ -308,13 +309,8 @@ def test_act_on_highest_vector_gives_monomial_class():
     for alpha in enumerate_compositions(3, 3):
         for w in enumerate_omega(alpha, mu):
             model = build_weight_space(mu, alpha, p)
-            image = act(w, np.ones(1, dtype=np.int64), mu, p)
+            image = act_matrix(w, mu, p) @ np.ones(1, dtype=np.int64) % p
             assert np.array_equal(image, model.monomial_class(w))
-
-
-def test_act_weight_mismatch_rejected():
-    with pytest.raises(ValueError):
-        act(((1, 1), (0, 0)), np.zeros(2, dtype=np.int64), (2, 0), 2)
 
 
 def test_act_module_axiom_random():
@@ -337,7 +333,7 @@ def test_act_module_axiom_random():
         lhs = np.zeros(build_weight_space(mu, a, p).dim, dtype=np.int64)
         for m, coef in xi_product(w, pi, p).terms:
             lhs = (lhs + coef * (act_matrix(m, mu, p) @ v)) % p
-        rhs = act(w, act(pi, v, mu, p), mu, p)
+        rhs = act_matrix(w, mu, p) @ (act_matrix(pi, mu, p) @ v % p) % p
         assert np.array_equal(lhs, rhs)
         checked += 1
 
@@ -361,7 +357,7 @@ def test_gram_data_accepts_lists():
     from_lists = gram_data([3, 1, 0], [2, 1, 1], 3)
     from_tuples = gram_data((3, 1, 0), (2, 1, 1), 3)
     assert from_lists.mu == (3, 1, 0) and from_lists.alpha == (2, 1, 1)
-    for name in ("gram", "radical_basis", "projection"):
+    for name in ("gram", "projection"):
         assert np.array_equal(getattr(from_lists, name), getattr(from_tuples, name))
     assert from_lists.pivots == from_tuples.pivots
     assert gram_data.cache_info().currsize >= 1
@@ -454,7 +450,7 @@ def test_radical_is_submodule():
                             if src.radical_dim == 0:
                                 continue
                             tgt = gram_data(mu, a, p)
-                            image = (act_matrix(w, mu, p) @ src.radical_basis.T) % p
+                            image = (act_matrix(w, mu, p) @ kernel_basis_mod(src.gram, p).T) % p
                             assert not np.any((tgt.gram @ image) % p)
 
 
