@@ -47,7 +47,6 @@ from .weyl import (
 from .resolutions import (
     box_presentation,
     hook_resolution,
-    sy_arrows,
     sy_degree,
     sy_max_degree,
 )

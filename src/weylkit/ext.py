@@ -21,9 +21,8 @@ from .fparith import check_prime
 from .linalg import SparseMod, rank_mod
 from .resolutions import (
     box_presentation,
-    chain_resolution,
+    chain_arrows,
     hook_resolution,
-    hook_splits,
     is_hook,
 )
 from .shapes import (
@@ -292,14 +291,14 @@ def build_hom_complex(
     report, natural, totals, top_dims = _plan(lam, mu, p, target, max_degree, max_basis, max_r)
     if top_dims is None:
         return HomComplex(lam, mu, p, target, report, 0, [_EMPTY], [0], [])
-    resolution = chain_resolution(lam, p)
+    space = chain_space(lam)
     degrees = len(totals)
     summands, dims, diffs = _assemble(
         top_dims,
-        resolution.chain_tops(degrees),
-        resolution.chain_starts[: degrees + 1],
-        resolution.arrows(degrees),
-        resolution.space.steps,
+        space.chain_tops(degrees),
+        space.chain_starts[: degrees + 1],
+        chain_arrows(lam, p, degrees),
+        space.steps,
         mu,
         p,
         target,
@@ -596,16 +595,17 @@ def build_hook_hom_complex(a: int, b: int, mu, p: int) -> HomComplex:
     steps: dict[Matrix, int] = {}  # split matrix -> block key
     arrows = []
     for i in range(b):
-        # cochain differential degree i -> i+1: precompose with the split maps
-        cols = {alpha: starts[i] + j for j, alpha in enumerate(terms[i])}
+        # cochain differential degree i -> i+1: precompose with the split
+        # maps, one per pair of adjacent parts of a degree-i term whose
+        # merge is a degree-(i+1) term
+        rows = {beta: starts[i + 1] + j for j, beta in enumerate(terms[i + 1])}
         arrows.extend(
-            (starts[i + 1] + row, cols[alpha], steps.setdefault(split(beta, t, u, v), len(steps)),
-             (-1) ** t)
-            for row, beta in enumerate(terms[i + 1])
-            for t in range(len(beta))
-            for u, v in hook_splits(beta, t)
-            for alpha in [beta[:t] + (u, v) + beta[t + 1 :]]
-            if alpha in cols
+            (rows[beta], starts[i] + col,
+             steps.setdefault(split(beta, t, *alpha[t : t + 2]), len(steps)), (-1) ** t)
+            for col, alpha in enumerate(terms[i])
+            for t in range(len(alpha) - 1)
+            for beta in [alpha[:t] + (alpha[t] + alpha[t + 1],) + alpha[t + 2 :]]
+            if beta in rows
         )
     # the rows of each differential come after those of the one before
     table = np.array(arrows, dtype=np.int64).reshape(-1, 4).T

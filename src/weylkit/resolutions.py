@@ -6,10 +6,11 @@
   names its summand.  The differential out of a chain has one arrow that
   composes with its first step and arrows that merge two adjacent steps;
   matrices only appear after applying a Hom functor, where each summand
-  collapses to a single weight slice.  ``chain_resolution`` lists every
-  degree's arrows at once as integer arrays over the numbered chains of
-  ``shapes.ChainSpace``; ``sy_degree`` and ``sy_arrows`` spell out the same
-  summands and arrows one chain at a time, in matrices.
+  collapses to a single weight slice.  ``chain_arrows`` lists the arrows of
+  every degree up to a bound at once as integer arrays over the numbered
+  chains of ``shapes.ChainSpace``, which holds the layout; ``sy_degree`` and
+  ``sy_arrows`` spell out the same summands and arrows one chain at a time,
+  in matrices.
 * The hook resolution P_*(a, b) for lam = (a, 1^b): degree i is a sum of
   divided-power modules indexed by positive compositions with first part in
   [a, a+i]; the differential splits one tensor factor in two.
@@ -28,6 +29,7 @@ import numpy as np
 from .fparith import check_prime
 from .schur import xi_product_terms
 from .shapes import (
+    ChainSpace,
     Composition,
     Matrix,
     chain_space,
@@ -76,117 +78,83 @@ def sy_arrows(chain: tuple[Matrix, ...], p: int) -> list[tuple]:
     return arrows
 
 
-class ChainResolution:
-    """The differentials of the chain resolution of lam over F_p, as arrays
-    over the numbered chains of ``chain_space(lam)``.
+def _merge_table(space: ChainSpace, p: int, degrees: int):
+    """(pair_start, indptr, merged, coeffs): the products of the pairs of
+    steps that meet in a chain of degree < ``degrees``, a step a and a step
+    b out of the weight a reaches.  Pair ``pair_start[a] + b - first[target
+    of a]`` has ``xi_product_terms(a, b, p)`` as merged step ids and
+    coefficients in ``merged[indptr[i]:indptr[i+1]]`` and ``coeffs[...]``.
+    Only the pairs whose second step reaches a weight with a chain of length
+    <= degrees - 3 down to lam are multiplied; the others meet in no such
+    chain and are left without products."""
+    # per step a, the number of steps b that can follow it
+    followers = np.diff(space.first)[space.step_target]
+    pair_start = np.cumsum(followers) - followers
+    reaches = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target].tolist()
+    sizes, merged, coeffs = [], [], []
+    for w, t in zip(space.steps, space.step_target.tolist()):
+        for b in range(space.first[t], space.first[t + 1]):
+            terms = xi_product_terms(w, space.steps[b], p) if reaches[b] else ()
+            sizes.append(len(terms))
+            merged.extend(space.step_index[m] for m, _ in terms)
+            coeffs.extend(c for _, c in terms)
+    indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    return pair_start, indptr, np.array(merged, dtype=np.int64), np.array(coeffs, dtype=np.int64)
 
-    The chains of all degrees are numbered one after another, degree k from
-    ``chain_starts[k]`` on in ``ChainSpace.layer`` order.  ``arrows(d)``
-    holds one entry per arrow of ``sy_arrows`` out of the chains of degrees
-    1 .. d-1, as int32 arrays (row, col, key, scalar), degree by degree: row
-    and col are the numbers of the source chain and of the target chain one
-    degree lower, and the key names the block, step s for the compose arrow
-    with that step and ``len(space.steps) + t`` for the identity on top t,
-    which every merge arrow carries.
 
-    The merges come from one table over the pairs of steps that meet in a
-    chain, a step a and a step b out of the weight a reaches: pair
-    ``pair_start[a] + b - first[target of a]`` has the products
-    ``xi_product_terms(a, b, p)`` as merged step ids and coefficients in
-    ``merged[indptr[i]:indptr[i+1]]`` and ``coeffs[...]``.
-    """
-
-    def __init__(self, lam: Composition, p: int):
-        self.space = space = chain_space(lam)
-        self.p = p
-        # int32, as the arrows' rows are, so that searching them copies nothing
-        self.chain_starts = np.concatenate(([0], np.cumsum(space.starts[:, -1])), dtype=np.int32)
-        # per step a, the number of steps b that can follow it
-        followers = np.diff(space.first)[space.step_target]
-        self.pair_start = np.cumsum(followers) - followers
-        self._table = ()  # (indptr, merged, coeffs)
-        self._table_degrees = 0
-        self._chain_tops = np.zeros(0, dtype=np.int64)
-        self._arrows = tuple(np.zeros(0, dtype=np.int32) for _ in range(4))
-        self._degrees = 1  # the arrows held are those among degrees below this
-
-    def chain_tops(self, degrees: int) -> np.ndarray:
-        """The top index of every chain of degrees 0 .. degrees-1, in order."""
-        if len(self._chain_tops) < self.chain_starts[degrees]:
-            counts = self.space.profiles[:, :degrees]
-            self._chain_tops = np.repeat(np.tile(np.arange(len(counts)), degrees), counts.T.ravel())
-        return self._chain_tops[: self.chain_starts[degrees]]
-
-    def _merge_table(self, degrees: int):
-        """Make the CSR arrays described above cover the pairs that meet in
-        a chain of degree < ``degrees``: those whose second step reaches a
-        weight with a chain of length <= degrees - 3 down to lam.  The other
-        pairs are left without products until a later call needs them."""
-        if self._table_degrees < degrees:
-            space = self.space
-            reaches = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target].tolist()
-            sizes, merged, coeffs = [], [], []
-            for w, t in zip(space.steps, space.step_target.tolist()):
-                for b in range(space.first[t], space.first[t + 1]):
-                    terms = xi_product_terms(w, space.steps[b], self.p) if reaches[b] else ()
-                    sizes.append(len(terms))
-                    merged.extend(space.step_index[m] for m, _ in terms)
-                    coeffs.extend(c for _, c in terms)
-            indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-            self._table = (indptr, np.array(merged, dtype=np.int64),
-                           np.array(coeffs, dtype=np.int64))
-            self._table_degrees = degrees
-        return self._table
-
-    def arrows(self, degrees: int):
-        """(rows, cols, keys, scalars) for the differentials among degrees
-        0 .. degrees-1 (at most ``space.max_length() + 1``), ordered by the
-        degree of their row."""
-        if self._degrees < degrees:
-            table = self._merge_table(degrees)
-            parts = [self._degree_arrows(k, *table) for k in range(self._degrees, degrees)]
-            self._arrows = tuple(map(np.concatenate, zip(self._arrows, *parts)))
-            self._degrees = degrees
-        cut = self._arrows[0].searchsorted(self.chain_starts[degrees])
-        return tuple(column[:cut] for column in self._arrows)
-
-    def _degree_arrows(self, k: int, indptr, merged, coeffs) -> tuple[np.ndarray, ...]:
-        # the arrows out of the degree-k chains, k >= 1
-        space, p = self.space, self.p
-        chains, tails = space.layer(k)
-        n = len(chains)
-        rows = self.chain_starts[k] + np.arange(n)
-        tops = np.repeat(np.arange(len(space.tops)), space.profiles[:, k])
-        parts = [(rows, self.chain_starts[k - 1] + tails, chains[:, 0], np.ones(n, dtype=np.int64))]
-        if k > 1:
-            # a merge at position i moves each step j < i-1 one place nearer
-            # the end of a shorter chain and keeps each step j > i in place
-            kept = space.prefix[chains, np.arange(k - 1, -1, -1)]
-            moved = space.prefix[chains[:, : k - 1], np.arange(k - 2, -1, -1)]
-            zero = np.zeros((n, 1), dtype=np.int64)
-            before = np.concatenate((zero, moved.cumsum(axis=1)), axis=1)
-            after = np.concatenate((kept[:, ::-1].cumsum(axis=1)[:, ::-1], zero), axis=1)
-            base = self.chain_starts[k - 1] + space.starts[k - 1][tops]
-            for i in range(1, k):
-                a, b = chains[:, i - 1], chains[:, i]
-                pair = self.pair_start[a] + b - space.first[space.step_target[a]]
-                sizes = indptr[pair + 1] - indptr[pair]
-                entries = expand_ranges(indptr[pair], sizes)
-                source = np.repeat(np.arange(n), sizes)
-                cols = (base + before[:, i - 1] + after[:, i + 1])[source]
-                cols += space.prefix[merged[entries], k - 1 - i]
-                keys = len(space.steps) + tops[source]
-                parts.append((rows[source], cols, keys, (-1) ** i * coeffs[entries] % p))
-        # int32 holds every chain number, step id and scalar (p <= 2^16)
-        return tuple(np.concatenate(column, dtype=np.int32) for column in zip(*parts))
+def _degree_arrows(space: ChainSpace, k: int, p: int, pair_start, indptr, merged,
+                   coeffs) -> tuple[np.ndarray, ...]:
+    """The arrows out of the degree-k chains, k >= 1, as ``chain_arrows``
+    lists them, from the merge table of ``_merge_table``."""
+    starts = space.chain_starts
+    chains, tails = space.layer(k)
+    n = len(chains)
+    rows = starts[k] + np.arange(n)
+    tops = np.repeat(np.arange(len(space.tops)), space.profiles[:, k])
+    parts = [(rows, starts[k - 1] + tails, chains[:, 0], np.ones(n, dtype=np.int64))]
+    if k > 1:
+        # a merge at position i moves each step j < i-1 one place nearer
+        # the end of a shorter chain and keeps each step j > i in place
+        kept = space.prefix[chains, np.arange(k - 1, -1, -1)]
+        moved = space.prefix[chains[:, : k - 1], np.arange(k - 2, -1, -1)]
+        zero = np.zeros((n, 1), dtype=np.int64)
+        before = np.concatenate((zero, moved.cumsum(axis=1)), axis=1)
+        after = np.concatenate((kept[:, ::-1].cumsum(axis=1)[:, ::-1], zero), axis=1)
+        base = starts[k - 1] + space.starts[k - 1][tops]
+        for i in range(1, k):
+            a, b = chains[:, i - 1], chains[:, i]
+            pair = pair_start[a] + b - space.first[space.step_target[a]]
+            sizes = indptr[pair + 1] - indptr[pair]
+            entries = expand_ranges(indptr[pair], sizes)
+            source = np.repeat(np.arange(n), sizes)
+            cols = (base + before[:, i - 1] + after[:, i + 1])[source]
+            cols += space.prefix[merged[entries], k - 1 - i]
+            keys = len(space.steps) + tops[source]
+            parts.append((rows[source], cols, keys, (-1) ** i * coeffs[entries] % p))
+    # int32 holds every chain number, step id and scalar (p <= 2^16)
+    return tuple(np.concatenate(column, dtype=np.int32) for column in zip(*parts))
 
 
 @lru_cache(maxsize=None)
-def chain_resolution(lam: Composition, p: int) -> ChainResolution:
-    """The chain resolution of lam over F_p with its arrows as arrays,
-    built once per (lam, p)."""
+def chain_arrows(lam: Composition, p: int, degrees: int) -> tuple[np.ndarray, ...]:
+    """The differentials among degrees 0 .. degrees-1 (at most
+    ``sy_max_degree(lam) + 1``) of the chain resolution of lam over F_p, as
+    int32 arrays (rows, cols, keys, scalars) over the numbered chains of
+    ``chain_space(lam)``, built once per (lam, p, degrees).
+
+    There is one entry per arrow of ``sy_arrows`` out of the chains of
+    degrees 1 .. degrees-1, degree by degree: row and col are the numbers
+    (``ChainSpace.chain_starts``) of the source chain and of the target
+    chain one degree lower, and the key names the block, step s for the
+    compose arrow with that step and ``len(space.steps) + t`` for the
+    identity on top t, which every merge arrow carries.
+    """
     check_prime(p)
-    return ChainResolution(validate_partition(lam), p)
+    space = chain_space(validate_partition(lam))
+    table = _merge_table(space, p, degrees)
+    empty = np.zeros(0, dtype=np.int32)
+    parts = [(empty,) * 4] + [_degree_arrows(space, k, p, *table) for k in range(1, degrees)]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def sy_max_degree(lam) -> int:
@@ -238,12 +206,6 @@ def hook_resolution(a: int, b: int) -> HookResolution:
                 raise AssertionError(f"hook term {alpha} violates the part bound at degree {i}")
         terms.append(degree_terms)
     return HookResolution(a, b, tuple(terms))
-
-
-def hook_splits(beta: Composition, position: int) -> list[tuple[int, int]]:
-    """Positive two-part splits (u, v) of the entry of beta at ``position``."""
-    total = beta[position]
-    return [(u, total - u) for u in range(total - 1, 0, -1)]
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,6 @@ class SchurElement:
     def zero(cls, n: int, r: int, p: int) -> "SchurElement":
         return cls(n, r, p)
 
-    def coefficients(self) -> dict[Matrix, int]:
-        return dict(self.terms)
-
     def _check_context(self, other: "SchurElement"):
         if (self.n, self.r, self.p) != (other.n, other.r, other.p):
             raise ValueError("elements live in different Schur algebras")

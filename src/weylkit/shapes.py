@@ -7,8 +7,8 @@ Conventions used throughout the package:
   to r.  A partition is a weakly decreasing composition.
 * A weight matrix w is an n x n tuple-of-tuples; its margins are
   ``margin1(w)`` = column sums and ``margin2(w)`` = row sums.
-* A weight 3-tensor t[s][t][q] has margins ``tensor_margins`` =
-  (sum over s, sum over t, sum over q).
+* A weight 3-tensor t[s][t][q] has three margin matrices: the sums over s,
+  over t and over q.
 * A tableau of shape mu is stored as the count matrix c[i][j] = number of
   entries i+1 in row j+1, padded to n x n.  Column sums give the shape and
   row sums give the weight, so the tableau/matrix correspondence is the
@@ -103,8 +103,9 @@ def _compositions_bounded(total: int, bounds: tuple[int, ...]) -> Iterator[Compo
         if total == 0:
             yield ()
         return
-    head_max = min(total, bounds[0])
-    for head in range(head_max, -1, -1):
+    # the rest holds at most sum(bounds[1:]), which bounds the head from below
+    head_min = max(total - sum(bounds[1:]), 0)
+    for head in range(min(total, bounds[0]), head_min - 1, -1):
         for rest in _compositions_bounded(total - head, bounds[1:]):
             yield (head,) + rest
 
@@ -178,16 +179,6 @@ def diagonal_matrix(nu) -> Matrix:
     return tuple(tuple(nu[s] if s == t else 0 for t in range(n)) for s in range(n))
 
 
-def tensor_margins(t) -> tuple[Matrix, Matrix, Matrix]:
-    """(sum over first index, sum over middle index, sum over last index)."""
-    n = len(t)
-    rng = range(n)
-    m1 = tuple(tuple(sum(t[s][a][b] for s in rng) for b in rng) for a in rng)
-    m2 = tuple(tuple(sum(t[s][a][b] for a in rng) for b in rng) for s in rng)
-    m3 = tuple(tuple(sum(t[s][a][b] for b in rng) for a in rng) for s in rng)
-    return m1, m2, m3
-
-
 def _flatten_matrix(w) -> tuple[int, ...]:
     return tuple(x for row in w for x in row)
 
@@ -252,8 +243,16 @@ def enumerate_theta(w, pi) -> list[Tensor]:
 
 
 def _upper_triangular_array(row_sums: Composition) -> np.ndarray:
-    """``enumerate_upper_triangular(row_sums)`` as an (m, n, n) int64 array,
-    in the same order."""
+    """Upper triangular matrices with the given row sums and at least one
+    nonzero entry strictly above the diagonal, the row-sum fibre of the span
+    usually written Lambda^1, as an (m, n, n) int64 array.
+
+    Row s is (0,) * s followed by a composition of row_sums[s] into n - s
+    parts, so the matrices are the product of the rows' choices.  Row 0
+    varies slowest and each row's choices come in descending-lex order, so
+    the product is descending-lex on the flattened matrix; its first element
+    puts each row sum on the diagonal and is dropped.
+    """
     n = len(row_sums)
     rows = [
         np.array([(0,) * s + c for c in enumerate_compositions(n - s, total)], dtype=np.int64)
@@ -262,20 +261,6 @@ def _upper_triangular_array(row_sums: Composition) -> np.ndarray:
     # the index grid in C order lets row 0 vary slowest, as a product does
     picks = np.indices([len(row) for row in rows]).reshape(n, -1)
     return np.stack([row[pick] for row, pick in zip(rows, picks)], axis=1)[1:]
-
-
-def enumerate_upper_triangular(row_sums: Composition) -> tuple[Matrix, ...]:
-    """Upper triangular matrices with the given row sums and at least one
-    nonzero entry strictly above the diagonal: the row-sum fibre of the span
-    usually written Lambda^1.
-
-    Row s is (0,) * s followed by a composition of row_sums[s] into n - s
-    parts, so the matrices are the product of the rows' choices.  Row 0
-    varies slowest and each row's choices come in descending-lex order, so
-    the product is descending-lex on the flattened matrix; its first element
-    puts each row sum on the diagonal and is dropped.
-    """
-    return tuple(tuple(map(tuple, w)) for w in _upper_triangular_array(tuple(row_sums)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +272,10 @@ def _check_shift(d: int, p: int) -> int:
         raise ValueError("shift exponent d must be >= 1")
     if p < 2:
         raise ValueError("p must be at least 2")
-    return p**d
+    q = p**d
+    if q > np.iinfo(np.int64).max:
+        raise ValueError(f"shift p^d = {p}^{d} exceeds the 64-bit integer range")
+    return q
 
 
 def plus_shift_composition(a, d: int, p: int) -> Composition:
@@ -332,11 +320,6 @@ class Tableau:
                     raise ValueError(f"entry {entry} outside 1..{n}")
                 counts[entry - 1][j] += 1
         return cls(tuple(tuple(row) for row in counts))
-
-    @classmethod
-    def canonical(cls, mu) -> "Tableau":
-        """The tableau of shape mu whose row j is filled with the entry j."""
-        return cls(diagonal_matrix(tuple(mu)))
 
     @property
     def n(self) -> int:
@@ -460,7 +443,9 @@ class ChainSpace:
     ``layer(k)`` holds them as rows of step ids.  So a chain's
     index in its top's block is the sum over its steps s_j of
     ``prefix[s_j, k-1-j]``, the number of chains of that length that leave
-    the same weight by an earlier step.
+    the same weight by an earlier step.  The chains of all degrees are
+    numbered one after another, degree k from ``chain_starts[k]`` on, and
+    ``chain_tops`` gives each one's top.
     """
 
     def __init__(self, lam: Composition):
@@ -492,6 +477,8 @@ class ChainSpace:
         self.prefix = np.cumsum(below, axis=0) - below
         source = np.repeat(np.arange(len(self.tops)), np.diff(self.first))
         self.prefix -= self.prefix[self.first[source]]
+        # int32, as the arrows' rows are, so that searching them copies nothing
+        self.chain_starts = np.concatenate(([0], np.cumsum(self.starts[:, -1])), dtype=np.int32)
         self._layer_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def count(self, alpha: Composition, k: int) -> int:
@@ -515,6 +502,11 @@ class ChainSpace:
                 chains = np.concatenate((firsts[:, None], below[tails]), axis=1)
             self._layer_cache[k] = (chains, tails)
         return self._layer_cache[k]
+
+    def chain_tops(self, degrees: int) -> np.ndarray:
+        """The top index of every chain of degrees 0 .. degrees-1, in order."""
+        counts = self.profiles[:, :degrees]
+        return np.repeat(np.tile(np.arange(len(counts)), degrees), counts.T.ravel())
 
     def chains(self, alpha: Composition, k: int) -> tuple[tuple[Matrix, ...], ...]:
         """The length-k chains from alpha as tuples of matrices."""

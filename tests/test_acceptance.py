@@ -31,7 +31,6 @@ from weylkit.shapes import (
     enumerate_partitions,
     enumerate_sst,
     enumerate_theta,
-    enumerate_upper_triangular,
     kostka,
     matrix_margins,
     plus_shift_composition,
@@ -46,7 +45,7 @@ from weylkit.weyl import (
     two_row_straighten,
 )
 
-from helpers import plus_shift_tensor
+from helpers import plus_shift_tensor, upper_triangular
 
 
 def report(criterion: str, started: float, budget: float, detail: str):
@@ -275,7 +274,7 @@ def test_criterion_6_property_suites():
             r = 3 if n == 3 else 4
             comps = enumerate_compositions(n, r)
             uppers = [
-                w for aa in comps for w in (diagonal_matrix(aa), *enumerate_upper_triangular(aa))
+                w for aa in comps for w in (diagonal_matrix(aa), *upper_triangular(aa))
             ]
             everything = {w for aa in comps for bb in comps for w in enumerate_omega(aa, bb)}
             for w in uppers:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,10 @@ import pytest
 
 import weylkit.cli
 import weylkit.ext
+import weylkit.resolutions
 from weylkit.cli import build_parser, main
 from weylkit.ext import MAX_DEGREE
-from weylkit.resolutions import ChainResolution, chain_resolution
+from weylkit.resolutions import chain_arrows
 from weylkit.shapes import ChainSpace
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -245,7 +247,7 @@ UNLINKED_RECORDS = [
 
 @pytest.mark.parametrize("argv, expected", UNLINKED_RECORDS, ids=["weyl", "simple", "truncated"])
 def test_unlinked_ext_records_pinned_without_chains(capsys, monkeypatch, argv, expected):
-    monkeypatch.setattr(weylkit.ext, "chain_resolution", _raise(AssertionError("arrows listed")))
+    monkeypatch.setattr(weylkit.ext, "chain_arrows", _raise(AssertionError("arrows listed")))
     monkeypatch.setattr(ChainSpace, "layer", _raise(AssertionError("chain enumerated")))
     code, out, _ = run(capsys, "ext", *argv)
     assert code == 0
@@ -254,17 +256,18 @@ def test_unlinked_ext_records_pinned_without_chains(capsys, monkeypatch, argv, e
 
 # each case names a stage of the resolution's build by the per-chain function
 # that did it before the chains were numbered: sy_degree enumerated the chains,
-# sy_arrows listed the arrows; chain_resolution is the one entry point
+# sy_arrows listed the arrows; chain_arrows is the one entry point (the id
+# keeps the name of the memo it replaced)
 @pytest.mark.parametrize("owner, attr", [
     (ChainSpace, "layer"),
-    (ChainResolution, "arrows"),
-    (weylkit.ext, "chain_resolution"),
+    (weylkit.resolutions, "_degree_arrows"),
+    (weylkit.ext, "chain_arrows"),
 ], ids=["sy_degree", "sy_arrows", "chain_resolution"])
 def test_verify_builds_unlinked_pairs_in_full(capsys, monkeypatch, owner, attr):
     # the periodicity oracle never takes the linkage shortcut: on the
     # unlinked pair (2, 1) -> (3) at p = 2 it still builds the resolution;
     # an uncached builder keeps earlier builds from hiding the enumeration
-    monkeypatch.setattr(weylkit.ext, "chain_resolution", chain_resolution.__wrapped__)
+    monkeypatch.setattr(weylkit.ext, "chain_arrows", chain_arrows.__wrapped__)
     monkeypatch.setattr(owner, attr, _raise(LookupError("reached")))
     code, out, err = run(capsys, "verify", "--theorem", "1.1.1", "--p", "2", "--d", "1",
                          "--lambda", "2,1", "--mu", "3")
@@ -352,6 +355,67 @@ def test_verify_hook_records_pinned(capsys, argv, expected):
     code, out, _ = run(capsys, "verify", "--theorem", "6.4", *argv)
     assert code == 0
     assert json.dumps(json.loads(out)["result"]) == expected
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test once it has run for 10 s, rather than let it hang."""
+    def expire(signum, frame):
+        pytest.fail("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# ``result`` payloads of the two presets without a size cap at a shift of
+# 2^40, which used to take time linear in p^d: 66 s at d = 24 for 6.1
+SHIFT_40_RECORDS = [
+    (
+        "6.1",
+        '{"key": {"p": 2, "n": 2, "r": 3, "lambda": [2, 1], "mu": [3, 0], "theorem": "6.1", '
+        '"d": 40, "max_degree": null}, "report": {"lambda": [2, 1], "mu": [3, 0], "p": 2, '
+        '"d": 40, "theorem": "6.1", "hypotheses": {"pd_gt_min_l2_m1_minus_l1": true, '
+        '"mu2_le_l1": true, "all_hold": true}, "ext_dims": [0], "shifted_ext_dims": [0], '
+        '"per_degree_equal": [true], "all_equal": true, "verdict": "PASS"}, "verdict": "PASS", '
+        '"engine_version": "0.1.0"}',
+    ),
+    (
+        "6.4",
+        '{"key": {"p": 2, "n": 2, "r": 3, "lambda": [2, 1], "mu": [3, 0], "theorem": "6.4", '
+        '"d": 40, "max_degree": null}, "report": {"a": 2, "b": 1, "mu": [3, 0], "p": 2, '
+        '"mu2_le_l1": true, "sy_ext_dims": [0, 0], "hook_ext_dims": [0, 0], '
+        '"per_degree_equal": [true, true], "methods_agree": true, "vanishing_beyond_b": true, '
+        '"shifted_checks": [{"d": 40, "ext_dims": [0, 0], "shifted_ext_dims": [0, 0], '
+        '"degrees": [{"degree": 0, "stated": true, "supported": true, "equal": true}, '
+        '{"degree": 1, "stated": true, "supported": true, "equal": true}], '
+        '"stated_bound_holds": true, "supported_bound_holds": true}], '
+        '"stated_bound_holds": true, "supported_bound_holds": true, "verdict": "PASS", '
+        '"hypotheses": {"lambda_is_hook": true, "max_degree_covered": 1099511627775, '
+        '"all_hold": true}}, "verdict": "PASS", "engine_version": "0.1.0"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("theorem, expected", SHIFT_40_RECORDS, ids=["6.1", "6.4"])
+def test_verify_large_shift_records_pinned(capsys, deadline, theorem, expected):
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, "--p", "2", "--d", "40",
+                       "--lambda", "2,1", "--mu", "3")
+    assert code == 0
+    assert json.dumps(json.loads(out)["result"]) == expected
+
+
+@pytest.mark.parametrize("theorem", ["1.1.1", "6.1", "6.4"])
+@pytest.mark.parametrize("p, d", [(3, 40), (2, 63)], ids=["3^40", "2^63"])
+def test_shift_past_int64_is_usage_error(capsys, deadline, theorem, p, d):
+    # 6.1 and 6.4 used to end as exit 4, "internal error: OverflowError",
+    # and 1.1.1 as a resource cap on the shifted degree
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--p", str(p), "--d", str(d),
+                         "--lambda", "2,1", "--mu", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: shift p^d = {p}^{d} exceeds the 64-bit integer range"
 
 
 # ``result`` payloads of the 1.1.1 preset, recorded while the isomorphism check

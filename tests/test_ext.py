@@ -21,7 +21,7 @@ from weylkit.ext import (
     verify_periodicity,
 )
 from weylkit.linalg import SparseMod
-from weylkit.resolutions import chain_resolution, sy_arrows, sy_degree
+from weylkit.resolutions import chain_arrows, sy_arrows, sy_degree
 from weylkit.shapes import (
     ChainSpace,
     chain_space,
@@ -444,7 +444,7 @@ def test_unlinked_shortcut_matches_the_full_build(monkeypatch):
                             expected[lam, mu, p, target, max_degree] = (
                                 dims, holds if applicable else None)
     assert len(expected) == 930
-    monkeypatch.setattr(weylkit.ext, "chain_resolution", _raise_if_called)
+    monkeypatch.setattr(weylkit.ext, "chain_arrows", _raise_if_called)
     monkeypatch.setattr(ChainSpace, "layer", _raise_if_called)
     for (lam, mu, p, target, max_degree), (dims, consistent) in expected.items():
         got = compute_ext(lam, mu, p, target, max_degree)
@@ -588,9 +588,8 @@ def _numbered_grid():
 
 
 def test_numbered_differentials_match_the_per_chain_arrows():
-    # a build truncated at degree 1 comes first, so the merge table grows
-    # from the pairs its degrees reach to all of them
-    chain_resolution.cache_clear()
+    # the arrows compared are built here, not left in the memo by another test
+    chain_arrows.cache_clear()
     cases = 0
     for lam, mu, p in _numbered_grid():
         for target in ("weyl", "simple"):
@@ -609,6 +608,22 @@ def test_numbered_differentials_match_the_per_chain_arrows():
                         ], (lam, mu, p, k)
             cases += 1
     assert cases == 2160
+
+
+def test_truncated_arrows_are_the_full_arrows_cut_by_degree():
+    # a truncated build multiplies only the step pairs its degrees reach,
+    # yet lists exactly the full build's arrows out of those degrees
+    cases = 0
+    for lam, p in dict.fromkeys((lam, p) for lam, _, p in _numbered_grid()):
+        space = chain_space(lam)
+        full = chain_arrows(lam, p, space.max_length() + 1)
+        for degrees in range(1, space.max_length() + 1):
+            cut = full[0] < space.chain_starts[degrees]
+            for column, whole in zip(chain_arrows(lam, p, degrees), full, strict=True):
+                assert column.dtype == np.int32
+                assert np.array_equal(column, whole[cut]), (lam, p, degrees)
+            cases += 1
+    assert cases == 636
 
 
 def test_prefix_counts_index_the_chains():

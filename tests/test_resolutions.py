@@ -9,7 +9,6 @@ from weylkit.resolutions import (
     BoxFamily,
     box_presentation,
     hook_resolution,
-    hook_splits,
     is_hook,
     sy_arrows,
     sy_degree,
@@ -145,11 +144,6 @@ def test_hook_resolution_terms():
     assert res.degree(1) == ((4099, 1, 1), (4098, 2, 1), (4098, 1, 2))
     assert len(res.degree(2)) == 3 and res.degree(2)[0] == (4100, 1)
     assert res.degree(3) == ((4101,),)
-
-
-def test_hook_splits():
-    assert hook_splits((4, 1), 0) == [(3, 1), (2, 2), (1, 3)]
-    assert hook_splits((4, 1), 1) == []
 
 
 def test_hook_resolution_rejects_bad_input():

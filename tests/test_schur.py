@@ -20,11 +20,10 @@ from weylkit.shapes import (
     enumerate_theta,
     matrix_margins,
     plus_shift_matrix,
-    tensor_margins,
     transpose_matrix,
 )
 
-from helpers import is_lower_triangular, is_upper_triangular
+from helpers import is_lower_triangular, is_upper_triangular, tensor_margins
 
 
 def all_matrices(n, r):

@@ -164,7 +164,7 @@ def test_build_weight_space_examples():
         mu = (3, 1)
         model = build_weight_space(mu, mu, p)
         assert model.dim == 1
-        assert model.sst[0] == Tableau.canonical(mu)
+        assert model.sst[0] == Tableau(diagonal_matrix(mu))
         # the end-of-range sharpness pair
         zero = build_weight_space((2, 2), (1, 3), p)
         assert zero.dim == 0
