@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fparith import check_prime
-from .linalg import SparseMod, rank_mod
+from .linalg import SparseMod, complex_ranks, rank_mod
 from .resolutions import (
     box_presentation,
     chain_arrows,
@@ -121,7 +121,7 @@ class HomComplex:
 
     def diff_ranks(self) -> list[int]:
         if self._ranks is None:
-            self._ranks = [rank_mod(d, self.p) for d in self.diffs]
+            self._ranks = complex_ranks(self.diffs, self.p)
         return self._ranks
 
     def dim(self, k: int) -> int:

@@ -6,14 +6,15 @@ dense numpy int64 arrays with entries reduced into [0, p); ``rref_mod`` and
 entry in column order, so echelon forms and kernel bases are bit-stable
 across runs.  Hom-complex differentials and box-relation systems, which are
 mostly zero, are ``SparseMod`` matrices: only their nonzero entries, in
-canonical row-major order.  ``rank_mod`` ranks either form by sparse
-elimination.
+canonical row-major order.  One sparse kernel ranks both forms: rows in
+stored order, each reduced on its highest column.  ``complex_ranks`` ranks
+a cochain complex from its last differential down, skipping the rows of
+``diffs[k]`` at the pivot columns of ``diffs[k+1]``, which ``d^2 = 0`` makes
+combinations of the others.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,58 +127,55 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def rank_mod(mat: SparseMod | np.ndarray, p: int) -> int:
-    """Rank over F_p of a SparseMod or a dense array.
-
-    Markowitz-style sparse elimination on row dicts: the pivot row is the
-    shortest remaining row (a heap keyed on row length), its pivot column
-    the entry of that row held by the fewest remaining rows, which keeps
-    fill-in low.  The pivot row is eliminated from the rows holding that
-    column and then dropped.
-    """
-    if not isinstance(mat, SparseMod):
-        mat = SparseMod.from_dense(mat, p)
-    if not mat.nnz:
-        return 0
-    rows = {i: row for i, row in enumerate(mat.row_dicts()) if row}
-    holders: defaultdict[int, set[int]] = defaultdict(set)  # column -> rows with an entry there
-    for i, row in rows.items():
-        for j in row:
-            holders[j].add(i)
-    heap = [(len(row), i) for i, row in rows.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        length, i = heapq.heappop(heap)
-        pivot_row = rows.get(i)
-        if pivot_row is None or len(pivot_row) != length:
-            continue  # superseded by a later push
-        del rows[i]
-        rank += 1
-        for j in pivot_row:
-            holders[j].discard(i)
-        col = min(pivot_row, key=lambda j: (len(holders[j]), j))
-        inv = pow(pivot_row.pop(col), -1, p)
-        rest = list(pivot_row.items())
-        for s in holders.pop(col):
-            row = rows[s]
-            f = row.pop(col) * inv % p
-            for j, v in rest:
-                if j not in row:
-                    row[j] = -f * v % p
-                    holders[j].add(s)
-                    continue
-                x = (row[j] - f * v) % p
+def _pivots(rows, p: int) -> dict[int, dict[int, int]]:
+    """{column: monic pivot row} of the given {column: value} rows over F_p:
+    each row in turn is reduced on its highest column against the pivot
+    rows so far, until it is zero or that column is new.  Rows are consumed."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[col]
+            for j, v in pivot.items():
+                x = (row.get(j, 0) - f * v) % p
                 if x:
                     row[j] = x
                 else:
                     del row[j]
-                    holders[j].discard(s)
-            if row:
-                heapq.heappush(heap, (len(row), s))
-            else:
-                del rows[s]
-    return rank
+    return pivots
+
+
+def rank_mod(mat: SparseMod | np.ndarray, p: int) -> int:
+    """Rank over F_p of a SparseMod or a dense array."""
+    return complex_ranks([mat], p)[0]
+
+
+def complex_ranks(diffs: list, p: int) -> list[int]:
+    """Ranks over F_p of a cochain complex's differentials (SparseMod or
+    dense), ``diffs[k]`` of shape (dims[k+1], dims[k]), with
+    ``diffs[k+1] @ diffs[k] == 0``.
+
+    One sweep from the last differential down: ``diffs[k]`` is reduced
+    without its rows at the pivot columns A of the reduced rows E of
+    ``diffs[k+1]``.  The rank is unchanged: ``E @ diffs[k] == 0`` and
+    ``E[:, A]`` is unitriangular, so the rows A of ``diffs[k]`` equal
+    ``-E[:, A]⁻¹ E[:, Aᶜ] diffs[k][Aᶜ, :]``, combinations of the rest.  The
+    rows left number rank ``diffs[k]`` + dim H^(k+1), so almost none of
+    them has to be reduced to zero.
+    """
+    ranks = [0] * len(diffs)
+    cleared: set[int] = set()  # pivot columns of the reduced diffs[k+1]
+    for k in reversed(range(len(diffs))):
+        mat = diffs[k] if isinstance(diffs[k], SparseMod) else SparseMod.from_dense(diffs[k], p)
+        pivots = _pivots((row for i, row in enumerate(mat.row_dicts()) if i not in cleared), p)
+        ranks[k] = len(pivots)
+        cleared = set(pivots)
+    return ranks
 
 
 def kernel_basis_mod(mat: np.ndarray, p: int) -> np.ndarray:

@@ -267,28 +267,29 @@ def _upper_triangular_array(row_sums: Composition) -> np.ndarray:
 # degree-raising shift
 
 
-def _check_shift(d: int, p: int) -> int:
+def _shifted(x: int, d: int, p: int) -> int:
+    """x + p^d, kept inside the int64 range of the engine's arrays."""
     if d < 1:
         raise ValueError("shift exponent d must be >= 1")
     if p < 2:
         raise ValueError("p must be at least 2")
-    q = p**d
-    if q > np.iinfo(np.int64).max:
+    q, top = p**d, int(np.iinfo(np.int64).max)
+    if q > top:
         raise ValueError(f"shift p^d = {p}^{d} exceeds the 64-bit integer range")
-    return q
+    if x + q > top:
+        raise ValueError(f"shifted entry {x} + {p}^{d} exceeds the 64-bit integer range")
+    return x + q
 
 
 def plus_shift_composition(a, d: int, p: int) -> Composition:
     """Add p^d to the first part."""
-    q = _check_shift(d, p)
     a = tuple(a)
-    return (a[0] + q,) + a[1:]
+    return (_shifted(a[0], d, p),) + a[1:]
 
 
 def plus_shift_matrix(w, d: int, p: int) -> Matrix:
     """Add p^d to the (1, 1) entry."""
-    q = _check_shift(d, p)
-    return ((w[0][0] + q,) + tuple(w[0][1:]),) + tuple(tuple(row) for row in w[1:])
+    return ((_shifted(w[0][0], d, p),) + tuple(w[0][1:]),) + tuple(tuple(row) for row in w[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -358,13 +358,16 @@ def test_verify_hook_records_pinned(capsys, argv, expected):
 
 
 @pytest.fixture
-def deadline():
-    """Fail the test once it has run for 10 s, rather than let it hang."""
+def deadline(request):
+    """Fail the test once it has run for 10 s (or the seconds passed by an
+    indirect parametrize), rather than let it hang."""
+    seconds = getattr(request, "param", 10)
+
     def expire(signum, frame):
-        pytest.fail("still running after 10 s")
+        pytest.fail(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(10)
+    signal.alarm(seconds)
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
@@ -416,6 +419,40 @@ def test_shift_past_int64_is_usage_error(capsys, deadline, theorem, p, d):
                          "--lambda", "2,1", "--mu", "3")
     assert code == 2 and out == ""
     assert err == f"error: shift p^d = {p}^{d} exceeds the 64-bit integer range"
+
+
+BIG = str(2**62)  # a part that fits int64, but not once 2^62 is added to it
+
+
+@pytest.mark.parametrize("theorem, code, message", [
+    # 6.1 used to end as exit 4, "internal error: OverflowError"
+    ("6.1", 2, f"error: shifted entry {BIG} + 2^62 exceeds the 64-bit integer range"),
+    # 6.4 builds a hook complex of degree r first, so the degree cap fires
+    ("6.4", 3, f"resource cap: degree {2**62 + 1} exceeds the cap 20"),
+], ids=["6.1", "6.4"])
+def test_shifted_part_past_int64_is_not_internal_error(capsys, deadline, theorem, code, message):
+    got, out, err = run(capsys, "verify", "--theorem", theorem, "--p", "2", "--d", "62",
+                        "--lambda", f"{BIG},1", "--mu", str(2**62 + 1))
+    assert (got, out, err) == (code, "", message)
+
+
+# (4,3,2,1) -> (10) at p = 3 is a heavy linked pair of the r = 10, n = 4
+# survey (145792 chains); each target took about 8 s while every
+# differential was ranked alone, and takes about 1 s ranked in one sweep
+HEAVY_RECORDS = [
+    ("weyl", [0, 1, 2, 2, 2, 1, 0, 0, 0, 0, 0]),
+    ("simple", [0, 0, 0, 1, 2, 1, 0, 0, 0, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("deadline", [6], indirect=True)
+@pytest.mark.parametrize("target, dims", HEAVY_RECORDS, ids=["weyl", "simple"])
+def test_heavy_ext_records_pinned(capsys, deadline, target, dims):
+    code, out, _ = run(capsys, "ext", "--p", "3", "--lambda", "4,3,2,1", "--mu", "10",
+                       "--target", target)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["ext_dims"], result["euler"], result["euler_consistent"]) == (dims, 0, True)
 
 
 # ``result`` payloads of the 1.1.1 preset, recorded while the isomorphism check

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylkit.ext import build_hom_complex, build_hook_hom_complex
-from weylkit.linalg import SparseMod, rank_mod, rref_mod
-from weylkit.shapes import enumerate_partitions
+from weylkit.ext import HomComplex, build_hom_complex, build_hook_hom_complex
+from weylkit.linalg import SparseMod, complex_ranks, rank_mod, rref_mod
+from weylkit.shapes import dominates, enumerate_partitions, linked
 
 from helpers import to_dense
 
@@ -98,7 +98,8 @@ def _chain_grid():
                 parts = enumerate_partitions(n, r)
                 for lam, mu in itertools.product(parts, parts):
                     for target in ("weyl", "simple"):
-                        yield build_hom_complex(lam, mu, p, target)
+                        for max_degree in (None, 0, 1, 2):
+                            yield build_hom_complex(lam, mu, p, target, max_degree)
 
 
 def _hook_grid():
@@ -111,13 +112,55 @@ def _hook_grid():
 
 
 def test_rank_of_every_grid_differential_matches_dense():
+    # each differential alone by rank_mod, and the whole complex by the
+    # sweep of diff_ranks, whose skipped rows are dependent only when
+    # diffs[k+1] @ diffs[k] == 0
     checked = 0
     for hc in itertools.chain(_chain_grid(), _hook_grid()):
-        for d in hc.diffs:
+        case = (hc.lam, hc.mu, hc.p, hc.target, hc.report_degree)
+        assert hc.check_dsquare(), case
+        dense = [dense_rank(to_dense(d), hc.p) for d in hc.diffs]
+        for d, rank in zip(hc.diffs, dense):
             assert isinstance(d, SparseMod)
-            assert rank_mod(d, hc.p) == dense_rank(to_dense(d), hc.p), (hc.lam, hc.mu, hc.p)
+            assert rank_mod(d, hc.p) == rank, case
             checked += 1
+        assert hc.diff_ranks() == dense, case
     assert checked > 100
+
+
+def test_sweep_skips_nonzero_dependent_rows():
+    # C^0 = F^2 -> C^1 = F^3 -> C^2 = F^1.  The one pivot column of diffs[1]
+    # is its highest, 2, so the sweep drops row 2 of diffs[0], which is
+    # nonzero but minus row 1.  Dropping row 0, the index of the pivot
+    # row rather than of its column, would lose rank.
+    p = 3
+    d0 = np.array([[1, 0], [0, 1], [0, p - 1]], dtype=np.int64)
+    d1 = np.array([[0, 1, 1]], dtype=np.int64)
+    assert not (d1 @ d0 % p).any() and d0[2].any()
+    assert dense_rank(d0[1:], p) == 1
+    assert complex_ranks([d0, d1], p) == [2, 1] == [dense_rank(d, p) for d in (d0, d1)]
+    sparse = [SparseMod.from_dense(d, p) for d in (d0, d1)]
+    assert complex_ranks(sparse, p) == [2, 1]
+    hc = HomComplex((2, 1), (3, 0), p, "weyl", 2, 2, [[], [], []], [2, 3, 1], sparse)
+    assert hc.check_dsquare()
+    assert hc.ext_dims() == [0, 0, 0]
+
+
+def test_sweep_matches_rank_of_each_differential_on_a_larger_grid():
+    # past the sizes where dense rref fits: n = 4, r <= 7, dominated and
+    # linked pairs (an unlinked complex is exact, and the grids above have
+    # those too)
+    checked = 0
+    for r in range(1, 8):
+        parts = enumerate_partitions(4, r)
+        for lam, mu in itertools.product(parts, parts):
+            for p, target in itertools.product((2, 3), ("weyl", "simple")):
+                if not (dominates(mu, lam) and linked(lam, mu, p)):
+                    continue
+                hc = build_hom_complex(lam, mu, p, target)
+                assert hc.diff_ranks() == [rank_mod(d, p) for d in hc.diffs], (lam, mu, p, target)
+                checked += len(hc.diffs)
+    assert checked > 1000
 
 
 def test_import_does_not_load_scipy():
