@@ -34,12 +34,13 @@ from .shapes import (
     expand_ranges,
     kostka,
     linked,
+    margin2,
     pad,
     plus_shift_composition,
     plus_shift_matrix,
     validate_partition,
 )
-from .weyl import act_matrix, act_matrix_simple, build_weight_space, gram_data
+from .weyl import act_matrix, act_matrix_simple, build_weight_spaces, gram_data
 
 MAX_BASIS_DEFAULT = 200_000
 MAX_R_DEFAULT = 20
@@ -343,23 +344,28 @@ def compute_ext(
 def hom_dim_oracle(lam, mu, p: int) -> int:
     """dim Hom(Weyl(lam), Weyl(mu)) computed from the box presentation of lam:
     the vectors in the weight-lam slice of Weyl(mu) killed by every relation
-    family, by left exactness of Hom(-, Weyl(mu))."""
+    family, by left exactness of Hom(-, Weyl(mu)).
+
+    The family (i, t) acts from the weight-lam slice to the weight
+    lam + t alpha_i one.  Those slices are read only when the weight-lam
+    slice is nonzero, and then all of them are built together."""
     lam, mu = _check_pair(lam, mu)
     check_prime(p)
-    model = build_weight_space(mu, lam, p)
-    if model.dim == 0:
-        return 0
     n = len(lam)
-    blocks = []
+    rhos = []
     for family in box_presentation(lam):
         i0 = family.i - 1
         rho = [[lam[s] if s == c else 0 for c in range(n)] for s in range(n)]
         rho[i0][i0 + 1] = family.t
         rho[i0 + 1][i0 + 1] -= family.t
-        blocks.append(act_matrix(tuple(map(tuple, rho)), mu, p))
-    if not blocks:
+        rhos.append(tuple(map(tuple, rho)))
+    weights = [lam] + [margin2(rho) for rho in rhos] if kostka(mu, lam) else [lam]
+    model = build_weight_spaces([(mu, weight) for weight in weights], p)[0]
+    if model.dim == 0:
+        return 0
+    if not rhos:
         return model.dim
-    stacked = np.vstack(blocks)
+    stacked = np.vstack([act_matrix(rho, mu, p) for rho in rhos])
     return model.dim - rank_mod(stacked, p)
 
 

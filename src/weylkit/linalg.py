@@ -6,8 +6,11 @@ dense numpy int64 arrays with entries reduced into [0, p); ``rref_mod`` and
 entry in column order, so echelon forms and kernel bases are bit-stable
 across runs.  Hom-complex differentials and box-relation systems, which are
 mostly zero, are ``SparseMod`` matrices: only their nonzero entries, in
-canonical row-major order.  One sparse kernel ranks both forms: rows in
-stored order, each reduced on its highest column.  ``complex_ranks`` ranks
+canonical row-major order.  One sparse kernel, ``_pivots``, does all
+sparse elimination: rows in the order given, each reduced on its highest
+column.  It ranks both forms, and with a pivot ``limit`` it straightens the
+weight slices of ``weyl``, which certifies the rows it never read by one
+product instead of reducing them.  ``complex_ranks`` ranks
 a cochain complex from its last differential down, skipping the rows of
 ``diffs[k]`` at the pivot columns of ``diffs[k+1]``, which ``d^2 = 0`` makes
 combinations of the others.
@@ -127,18 +130,23 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def _pivots(rows, p: int) -> dict[int, dict[int, int]]:
+def _pivots(rows, p: int, limit: int | None = None) -> dict[int, dict[int, int]]:
     """{column: monic pivot row} of the given {column: value} rows over F_p:
     each row in turn is reduced on its highest column against the pivot
-    rows so far, until it is zero or that column is new.  Rows are consumed."""
+    rows so far, until it is zero or that column is new.  Rows are consumed,
+    and none past the one that makes the ``limit``-th pivot."""
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    rows = iter(rows)
+    while len(pivots) != limit:
+        row = next(rows, None)
+        if row is None:
+            break
         while row:
             col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
                 inv = pow(row[col], -1, p)
-                pivots[col] = {j: v * inv % p for j, v in row.items()}
+                pivots[col] = row if inv == 1 else {j: v * inv % p for j, v in row.items()}
                 break
             f = row[col]
             for j, v in pivot.items():

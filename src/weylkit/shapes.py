@@ -220,6 +220,23 @@ def enumerate_contingency(row_sums: Composition, col_sums: Composition) -> tuple
     return tuple(zip(*rows, map(tuple, budget.tolist())))
 
 
+@lru_cache(maxsize=None)
+def contingency_array(row_sums: Composition, col_sums: Composition) -> np.ndarray:
+    """``enumerate_contingency(row_sums, col_sums)`` as one read-only array
+    of shape (matrices, len(row_sums), len(col_sums)), in the same order.
+
+    Its dtype is uint8 while the total is below 256 and int64 beyond, so
+    the array stays a small fraction of the tuples it mirrors.  The
+    semistandard filter and the box relations of a weight slice both read
+    it.
+    """
+    counts = enumerate_contingency(row_sums, col_sums)
+    dtype = np.uint8 if sum(col_sums) < 256 else np.int64
+    out = np.array(counts, dtype=dtype).reshape(len(counts), len(row_sums), len(col_sums))
+    out.flags.writeable = False
+    return out
+
+
 def enumerate_omega(alpha, beta) -> list[Matrix]:
     """Matrices with row margin alpha and column margin beta."""
     return list(enumerate_contingency(tuple(alpha), tuple(beta)))
@@ -396,7 +413,7 @@ def enumerate_sst(mu: Composition, alpha: Composition) -> tuple[Tableau, ...]:
     if len(alpha) != n or sum(alpha) != sum(mu):
         raise ValueError(f"weight {alpha} incompatible with shape {mu}")
     counts = enumerate_contingency(alpha, mu)
-    cum = np.array(counts, dtype=np.int64).reshape(len(counts), n, n).cumsum(axis=1)
+    cum = contingency_array(alpha, mu).cumsum(axis=1, dtype=np.int64)
     keep = (cum[:, :1, 1:] == 0).all(axis=(1, 2)) & (cum[:, 1:, 1:] <= cum[:, :-1, :-1]).all(axis=(1, 2))
     return tuple(Tableau(counts[k]) for k in np.flatnonzero(keep).tolist())
 

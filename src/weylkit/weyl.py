@@ -13,28 +13,37 @@ margin mu and row margin alpha.  The relations are stored sparse, as a
 ``linalg.SparseMod`` built in bulk with numpy: each monomial, together with
 every nonzero vector of boxes moved back out of its column i+1, names one
 generator that reaches it.  The semistandard tableaux of weight alpha
-survive as a basis of the quotient, so sparse elimination that pivots only
-on the other monomials leaves one row per other monomial holding
-semistandard columns alone: its normal form, the straightening map.
+survive as a basis of the quotient.  With their columns numbered first,
+``linalg._pivots`` finds one pivot row per other monomial and stops there,
+and back-substitution writes every monomial in semistandard coordinates:
+its normal form, the straightening map.  The relations the elimination
+never read are certified rather than reduced: each must vanish on the
+normal form.  The pivot rows span the kernel of the normal form, a
+complement of the semistandard span, so this holds exactly when the
+relations span that kernel, which is what a full Gauss-Jordan elimination
+would check.  ``build_weight_spaces`` generates the relations of several
+slices in one numpy pass; the Hom oracle reads its slices that way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
+from typing import NamedTuple
 
 import numpy as np
 
 from .fparith import binom_mod, binom_table, check_prime
-from .linalg import SparseMod, rref_mod
+from .linalg import SparseMod, _pivots, rref_mod
 from .schur import xi_product_terms
 from .shapes import (
     Composition,
     Matrix,
     Tableau,
     _compositions_bounded,
+    contingency_array,
     enumerate_compositions,
-    enumerate_omega,
+    enumerate_contingency,
     enumerate_sst,
     kostka,
     margin1,
@@ -79,28 +88,15 @@ def _sub_vectors(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The vectors below a row are numbered in mixed radix c + 1 and decoded
     digit by digit, so nothing is enumerated in Python.
     """
-    radix = c + 1
-    stride = np.ones_like(radix)
-    for s in range(c.shape[1] - 2, -1, -1):
-        stride[:, s] = stride[:, s + 1] * radix[:, s + 1]
-    counts = stride[:, 0] * radix[:, 0]
+    radix = c.astype(np.int64) + 1
+    counts = radix.prod(axis=1) - 1  # k = 0, the zero vector, left out
     owner = np.repeat(np.arange(len(c)), counts)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    owner, k = owner[k > 0], k[k > 0]  # k = 0 is the zero vector
-    return owner, k[:, None] // stride[owner] % radix[owner]
-
-
-def _distinct_rows(keys: np.ndarray) -> tuple[int, np.ndarray]:
-    """(number of distinct rows, rank of each row among them in lex order)
-    of a nonnegative integer array.
-
-    Each row is compared as one byte string: in big-endian order the bytes
-    of nonnegative ints sort as the ints do, and nothing can overflow.
-    """
-    rows = np.ascontiguousarray(keys, dtype=">i8")
-    strings = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    distinct, ids = np.unique(strings, return_inverse=True)
-    return len(distinct), ids
+    k = np.arange(1, owner.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    radix = radix[owner]
+    v = np.empty_like(radix)
+    for s in range(c.shape[1] - 1, -1, -1):
+        k, v[:, s] = np.divmod(k, radix[:, s])
+    return owner, v
 
 
 def box_relation_vectors(mu, alpha, p: int) -> tuple[tuple[Matrix, ...], SparseMod]:
@@ -119,31 +115,68 @@ def box_relation_vectors(mu, alpha, p: int) -> tuple[tuple[Matrix, ...], SparseM
     mu = validate_partition(mu)
     alpha = validate_composition(alpha, n=len(mu), r=sum(mu))
     check_prime(p)
-    n = len(mu)
-    monomials = tuple(enumerate_omega(alpha, mu))
-    m = len(monomials)
+    return enumerate_contingency(alpha, mu), _box_relations([(mu, alpha)], p)[0]
+
+
+def _box_relations(slices: list[tuple[Composition, Composition]], p: int) -> list[SparseMod]:
+    """The relations of ``box_relation_vectors`` at each (mu, alpha) of
+    several weight slices, all with n rows, generated in one pass over all
+    their monomials.
+
+    The slice leads every generator's key, so one ``np.unique`` numbers the
+    generators of all slices, each slice's in a block of its own.
+    """
+    n = len(slices[0][0])
+    if any(len(mu) != n for mu, _ in slices):
+        raise ValueError("the slices of one pass must have one number of rows")
+    cubes = [contingency_array(alpha, mu) for mu, alpha in slices]
+    sizes = [len(cube) for cube in cubes]
     if n < 2:
-        return monomials, SparseMod.from_entries((0, m), [], [], [], p)
-    cube = np.array(monomials, dtype=np.int64).reshape(m, n, n)
+        return [SparseMod.from_entries((0, m), [], [], [], p) for m in sizes]
+    cube = np.concatenate(cubes)
+    m, total = len(cube), max(sum(mu) for mu, _ in slices)
     # one row per (monomial w, row pair i): column i+1 of w, as w[s][i+1]
     col_next = cube[:, :, 1:].transpose(0, 2, 1).reshape(m * (n - 1), n)
     owner, moved = _sub_vectors(col_next)
     w, i = np.divmod(owner, n - 1)
-    rho = cube[w]
-    e, s = np.arange(w.size)[:, None], np.arange(n)
-    rho[e, s, i[:, None]] += moved
-    rho[e, s, i[:, None] + 1] -= moved
-    binom, top = binom_table(p), mu[1]  # column i+1 holds at most mu[1] boxes
+    # column i+1 of w holds at most mu[1] boxes
+    binom, top = binom_table(p), max(mu[1] for mu, _ in slices)
     dense = np.array([[binom[a, b] for b in range(top + 1)] for a in range(top + 1)], dtype=np.int64)
     factors = dense[col_next[owner], moved]
     coeff = factors[:, 0]
     for k in range(1, n):
         coeff = coeff * factors[:, k] % p
-    # number the generators in (i, t, rho descending) order
-    keys = np.column_stack([i, moved.sum(axis=1), sum(mu) - rho.reshape(w.size, n * n)])
-    generators, rows = _distinct_rows(keys)
-    relations = SparseMod.from_entries((generators, m), rows, w, coeff, p)
-    return monomials, relations
+    # One integer key numbers the generators in (slice, i, t, rho
+    # descending) order.  A matrix of known margins is fixed by its block
+    # without the last row and column, and two such matrices compare in
+    # lex order as those blocks do, so the key holds the block's digits in
+    # radix total + 1, counted down.  Beyond int64 the key is a Python int.
+    radix, width = total + 1, (n - 1) ** 2
+    span = radix**width
+    dtype = np.int64 if len(slices) * (n - 1) * (top + 1) * span < 2**63 else object
+    place = np.array([radix**k for k in range(width - 1, -1, -1)], dtype=dtype).reshape(n - 1, n - 1)
+    # rho is w with v moved back from column i+1 to column i
+    step = place.T - np.vstack([place.T[1:], np.zeros((1, n - 1), dtype=dtype)])
+    rho = cube[:, :-1, :-1].reshape(m, width).astype(dtype) @ place.ravel()
+    rho = rho[w] + (moved[:, :-1] * step[i]).sum(axis=1)
+    prefix = (np.repeat(np.arange(len(slices)), sizes)[w] * (n - 1) + i) * (top + 1) + moved.sum(axis=1)
+    distinct, rows = np.unique(prefix.astype(dtype) * span + (span - 1 - rho), return_inverse=True)
+    first = (distinct // (span * (n - 1) * (top + 1))).astype(np.int64)  # the slice of each generator
+    row_start = np.searchsorted(first, np.arange(len(slices) + 1))
+    mon_start = np.cumsum([0] + sizes)
+    keep = coeff != 0
+    rows, w, coeff = rows[keep], w[keep], coeff[keep]
+    order = np.argsort(rows * m + w)  # row-major, as a SparseMod stores them
+    rows, w, coeff = rows[order], w[order], coeff[order]
+    bounds = np.searchsorted(rows, row_start).tolist()
+    out = []
+    for k in range(len(slices)):
+        a, b = bounds[k], bounds[k + 1]
+        entries = (rows[a:b] - row_start[k], w[a:b] - mon_start[k], coeff[a:b])
+        for arr in entries:
+            arr.flags.writeable = False
+        out.append(SparseMod((int(row_start[k + 1] - row_start[k]), sizes[k]), *entries))
+    return out
 
 
 def _frozen(x):
@@ -151,84 +184,159 @@ def _frozen(x):
     return tuple(map(_frozen, x)) if isinstance(x, (list, tuple)) else x
 
 
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: None
+    currsize: int
+
+
 def _memo_on_tuples(fn):
-    """``lru_cache`` for a function of (x, y, p) that also accepts lists: a
-    composition x or y becomes a tuple, and a weight matrix a tuple of row
-    tuples, before the cache lookup.  The returned function keeps the
-    cache's ``cache_info``."""
-    cached = lru_cache(maxsize=None)(fn)
+    """An unbounded memo for a function of (x, y, p) that also accepts
+    lists: a composition x or y becomes a tuple, and a weight matrix a tuple
+    of row tuples, before the lookup.  The returned function has
+    ``cache_info`` and ``cache_clear`` as an ``lru_cache`` does, and
+    ``memo``, the {(x, y, p): value} dict itself."""
+    memo: dict = {}
+    stats = [0, 0]  # hits, misses
 
     @wraps(fn)
     def call(x, y, p: int):
         try:
-            hash((x, y))
+            value = memo.get((x, y, p), memo)
         except TypeError:  # a list somewhere in x or y
             x, y = _frozen(x), _frozen(y)
-        return cached(x, y, p)
+            value = memo.get((x, y, p), memo)
+        if value is not memo:
+            stats[0] += 1
+            return value
+        stats[1] += 1
+        value = memo[x, y, p] = fn(x, y, p)
+        return value
 
-    call.cache_info = cached.cache_info
+    def cache_clear():
+        memo.clear()
+        stats[:] = [0, 0]
+
+    call.cache_info = lambda: CacheInfo(stats[0], stats[1], None, len(memo))
+    call.cache_clear = cache_clear
+    call.memo = memo
     return call
 
 
-def _reduce_onto(relations: SparseMod, keep: set[int], p: int) -> dict[int, dict[int, int]] | None:
-    """Gauss-Jordan elimination of the relation rows that pivots only on
-    columns outside ``keep``.
+# relations generated ahead by ``build_weight_spaces``, each popped by the
+# build of its slice and the rest dropped before that function returns
+_PREFETCHED: dict[tuple[Composition, Composition, int], SparseMod] = {}
 
-    Returns {pivot column: row dict}, each row free of every pivot column
-    and standing for 1 at its pivot plus its entries, or None as soon as a
-    relation reduces to a nonzero row on the ``keep`` columns alone.
+
+def _normal_form(relations: SparseMod, sst_cols: list[int], p: int, label: str) -> np.ndarray:
+    """The straightening map of a weight slice with m monomials: one row of
+    semistandard coordinates per monomial, the s semistandard tableaux
+    being the monomials at ``sst_cols``.
+
+    The SST columns are numbered first, so ``linalg._pivots`` (highest
+    column first) pivots on one of them only for a relation on SST columns
+    alone.  One row per leading column goes first, each a new pivot with
+    nothing to reduce, and the elimination stops at m - s pivots.
+    Back-substitution in ascending pivot order then writes each other
+    monomial in SST coordinates.
+
+    The rows the elimination never reached are certified instead: every
+    relation row r must satisfy r @ normal_form = 0.  The m - s pivot rows
+    span a space P with P + span(SST) = F_p^m, and P is the kernel of the
+    normal form, so that check says the relation space is exactly P, as a
+    full Gauss-Jordan elimination would.  An AssertionError naming the
+    slice by ``label`` says which way the tableaux fail to be a basis.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in relations.row_dicts():
-        for col in [c for c in row if c in pivots]:
-            _subtract(row, row.pop(col), pivots[col], p)
-        col = next((c for c in row if c not in keep), None)
-        if col is None:
-            if row:
-                return None
-            continue
-        inv = pow(row.pop(col), -1, p)
-        row = {c: v * inv % p for c, v in row.items()}
-        for other in pivots.values():  # substitute the new pivot into the earlier rows
-            if col in other:
-                _subtract(other, other.pop(col), row, p)
-        pivots[col] = row
-    return pivots
+    m, s = relations.shape[1], len(sst_cols)
 
+    def violated(found: str) -> AssertionError:
+        return AssertionError(f"SST basis violated for {label}: {found}, non-SST columns {m - s}")
 
-def _subtract(row: dict[int, int], f: int, other: dict[int, int], p: int):
-    # row -= f * other, in place
-    for c, v in other.items():
-        x = (row.get(c, 0) - f * v) % p
-        if x:
-            row[c] = x
-        else:
-            row.pop(c, None)
+    is_sst = set(sst_cols)
+    new = np.empty(m, dtype=np.int64)  # the column number of each monomial
+    new[sst_cols + [c for c in range(m) if c not in is_sst]] = np.arange(m)
+    cols, vals = new[relations.cols].tolist(), relations.vals.tolist()
+    bounds = np.searchsorted(relations.rows, np.arange(relations.shape[0] + 1)).tolist()
+    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]  # of the nonempty rows
+
+    def rows():
+        # a row whose leading column is new comes at once, a pivot with
+        # nothing to reduce; the others wait until every row has been seen
+        seen, rest = set(), []
+        for a, b in spans:
+            lead = max(cols[a:b])
+            if lead in seen:
+                rest.append((a, b))
+            else:
+                seen.add(lead)
+                yield dict(zip(cols[a:b], vals[a:b]))
+        for a, b in rest:
+            yield dict(zip(cols[a:b], vals[a:b]))
+
+    pivots = _pivots(rows(), p, limit=m - s)
+    if min(pivots, default=s) < s:
+        raise violated("a relation on SST columns alone")
+    if len(pivots) < m - s:
+        raise violated(f"rank {len(pivots)}")
+    if not s:
+        return np.zeros((m, 0), dtype=np.int64)
+    # the pivot row of c says: monomial c + its lower entries = 0 in the
+    # quotient, and every lower column already has its SST coordinates
+    coords = [[int(j == q) for q in range(s)] for j in range(s)]
+    for c in sorted(pivots):
+        acc = [0] * s
+        for j, v in pivots[c].items():
+            if j < s:
+                acc[j] += v
+            elif j != c:
+                acc = [a + v * x for a, x in zip(acc, coords[j])]
+        coords.append([-a % p for a in acc])
+    normal_form = np.array(coords, dtype=np.int64)[new]
+    if spans:
+        starts = [a for a, _ in spans]
+        images = np.add.reduceat(relations.vals[:, None] * normal_form[relations.cols], starts)
+        if (images % p).any():
+            raise violated("a relation on SST columns alone")
+    return normal_form
 
 
 @_memo_on_tuples
 def build_weight_space(mu: Composition, alpha: Composition, p: int) -> WeightSpaceModel:
-    """Build (and cache) the weight-alpha model of the Weyl module of shape mu."""
-    monomials, relations = box_relation_vectors(mu, alpha, p)
+    """Build (and cache) the weight-alpha model of the Weyl module of shape
+    mu, its relations taken from ``build_weight_spaces`` when that generated
+    them ahead."""
+    relations = _PREFETCHED.pop((mu, alpha, p), None)
+    if relations is None:
+        monomials, relations = box_relation_vectors(mu, alpha, p)
+    else:
+        monomials = enumerate_contingency(alpha, mu)
     sst = enumerate_sst(mu, alpha)
     index = {w: i for i, w in enumerate(monomials)}
-    sst_pos = {index[t.to_matrix()]: j for j, t in enumerate(sst)}
-    pivots = _reduce_onto(relations, set(sst_pos), p)
-    others = len(monomials) - len(sst)
-    if pivots is None or len(pivots) != others:
-        found = "a relation on SST columns alone" if pivots is None else f"rank {len(pivots)}"
-        raise AssertionError(
-            f"SST basis violated for mu={mu}, alpha={alpha}, p={p}: "
-            f"{found}, non-SST columns {others}"
-        )
-    # the pivot row of col says: monomial(col) + its SST entries = 0 in the quotient
-    normal_form = np.zeros((len(monomials), len(sst)), dtype=np.int64)
-    normal_form[list(sst_pos), list(sst_pos.values())] = 1
-    for col, row in pivots.items():
-        for c, v in row.items():
-            normal_form[col, sst_pos[c]] = -v % p
+    sst_cols = [index[t.to_matrix()] for t in sst]
+    normal_form = _normal_form(relations, sst_cols, p, f"mu={mu}, alpha={alpha}, p={p}")
     normal_form.flags.writeable = False
-    return WeightSpaceModel(mu, alpha, p, monomials, sst, others, normal_form, index)
+    return WeightSpaceModel(mu, alpha, p, monomials, sst, len(monomials) - len(sst), normal_form, index)
+
+
+def build_weight_spaces(slices, p: int) -> list[WeightSpaceModel]:
+    """``build_weight_space`` at each (mu, alpha) of several weight slices
+    with one number of rows: the relations of every slice not yet memoised
+    come from one ``_box_relations`` pass."""
+    check_prime(p)
+    checked = []
+    for mu, alpha in slices:
+        mu = validate_partition(mu)
+        checked.append((mu, validate_composition(alpha, n=len(mu), r=sum(mu))))
+    slices = checked
+    missing = [key for key in dict.fromkeys(slices) if (*key, p) not in build_weight_space.memo]
+    try:
+        if len(missing) > 1:
+            for key, relations in zip(missing, _box_relations(missing, p)):
+                _PREFETCHED[(*key, p)] = relations
+        return [build_weight_space(mu, alpha, p) for mu, alpha in slices]
+    finally:
+        _PREFETCHED.clear()
 
 
 def straighten(tab: Tableau, p: int, mu=None) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylkit.ext import HomComplex, build_hom_complex, build_hook_hom_complex
-from weylkit.linalg import SparseMod, complex_ranks, rank_mod, rref_mod
+from weylkit.linalg import SparseMod, _pivots, complex_ranks, rank_mod, rref_mod
 from weylkit.shapes import dominates, enumerate_partitions, linked
 
 from helpers import to_dense
@@ -161,6 +161,30 @@ def test_sweep_matches_rank_of_each_differential_on_a_larger_grid():
                 assert hc.diff_ranks() == [rank_mod(d, p) for d in hc.diffs], (lam, mu, p, target)
                 checked += len(hc.diffs)
     assert checked > 1000
+
+
+@pytest.mark.parametrize("limit, taken, pivots", [
+    (None, 6, [0, 1, 2, 3]),  # every row, the two that reduce to zero too
+    (0, 0, []),
+    (1, 1, [0]),
+    (2, 3, [0, 1]),  # the second row reduces to zero on the way
+    (3, 4, [0, 1, 2]),
+    (4, 6, [0, 1, 2, 3]),
+    (9, 6, [0, 1, 2, 3]),  # a limit above the rank reads every row
+])
+def test_pivots_stop_at_the_limit(limit, taken, pivots):
+    rows = [{0: 2}, {0: 1}, {1: 1, 0: 1}, {2: 2, 1: 1}, {2: 1, 1: 2, 0: 2}, {3: 1}]
+    read = []
+
+    def counted():
+        for row in rows:
+            read.append(row)
+            yield dict(row)
+
+    found = _pivots(counted(), 3, limit=limit)
+    assert len(read) == taken
+    assert sorted(found) == pivots
+    assert all(found[col][col] == 1 and max(found[col]) == col for col in found)
 
 
 def test_import_does_not_load_scipy():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -151,6 +152,134 @@ def test_sst_assertion_fires(monkeypatch, change):
     found = "rank" if change == "drop" else "SST columns alone"
     with pytest.raises(AssertionError, match=f"SST basis violated.*{found}"):
         build_weight_space.__wrapped__(mu, alpha, p)
+
+
+def test_certificate_catches_a_corrupt_row_the_elimination_never_reaches(monkeypatch):
+    # The elimination stops at m - s pivots, so the rows after that point
+    # are checked only by the certificate r @ normal_form = 0.  The last
+    # relation here is not the first row of its leading column, so it comes
+    # last in elimination order; one coefficient of it, on an SST column,
+    # is changed.
+    mu, alpha, p = (3, 2, 1), (2, 2, 2), 3
+    monomials, relations = box_relation_vectors(mu, alpha, p)
+    index = {w: i for i, w in enumerate(monomials)}
+    sst_cols = [index[t.to_matrix()] for t in enumerate_sst(mu, alpha)]
+    column = np.full(len(monomials), -1)  # SST columns first, as the build numbers them
+    column[sst_cols] = range(len(sst_cols))
+    column[column < 0] = range(len(sst_cols), len(monomials))
+    lead = np.full(relations.shape[0], -1)
+    np.maximum.at(lead, relations.rows, column[relations.cols])
+    last = relations.shape[0] - 1
+    assert (lead >= 0).all() and lead[last] in lead[:last]
+    corrupt = SparseMod.from_entries(
+        relations.shape,
+        np.append(relations.rows, last),
+        np.append(relations.cols, sst_cols[0]),
+        np.append(relations.vals, 1),
+        p,
+    )
+    assert corrupt != relations
+    read = []
+    real_pivots = weyl._pivots
+
+    def counting_pivots(rows, p, limit=None):
+        def counted():
+            for row in rows:
+                read.append(row)
+                yield row
+
+        return real_pivots(counted(), p, limit)
+
+    monkeypatch.setattr(weyl, "_pivots", counting_pivots)
+    monkeypatch.setattr(weyl, "_box_relations", lambda slices, p: [corrupt])
+    with pytest.raises(AssertionError, match="SST basis violated.*SST columns alone"):
+        build_weight_space.__wrapped__(mu, alpha, p)
+    assert len(read) < relations.shape[0]  # so the last row was never read
+
+
+def _oracle_batches(n: int, r: int):
+    """The slices ``hom_dim_oracle`` builds in one pass for each pair of
+    partitions with n parts of r: the weight lam and each lam + t alpha_i."""
+    for lam in enumerate_partitions(n, r):
+        weights = [lam]
+        for family in box_presentation(lam):
+            i = family.i - 1
+            weights.append(lam[:i] + (lam[i] + family.t, lam[i + 1] - family.t) + lam[i + 2:])
+        for mu in enumerate_partitions(n, r):
+            if kostka(mu, lam):
+                yield [(mu, alpha) for alpha in weights]
+
+
+def _assert_same_models(batch, p, singles):
+    build_weight_space.cache_clear()  # so every slice of the batch is generated in the pass
+    for (mu, alpha), model in zip(batch, weyl.build_weight_spaces(batch, p)):
+        key = (mu, alpha, p)
+        if key not in singles:
+            singles[key] = build_weight_space.__wrapped__(mu, alpha, p)
+        single = singles[key]
+        assert model.monomials == single.monomials, key
+        assert model.relation_rank == single.relation_rank, key
+        assert model.normal_form.dtype == single.normal_form.dtype, key
+        assert model.normal_form.shape == single.normal_form.shape, key
+        assert model.normal_form.tobytes() == single.normal_form.tobytes(), key
+
+
+def test_batched_models_match_single_builds():
+    singles = {}
+    batches = 0
+    for p in (2, 3, 5):
+        for n in (2, 3, 4):
+            for r in range(1, 7):
+                for batch in _oracle_batches(n, r):
+                    _assert_same_models(batch, p, singles)
+                    batches += len(batch) > 1
+    # one pass over two shapes, and the n = 5, r = 15 slice beside a
+    # neighbour, whose keys overflow int64
+    mixed = [((3, 2, 1, 0), (2, 2, 1, 1)), ((4, 1, 1, 0), (2, 2, 1, 1)), ((4, 1, 1, 0), (3, 1, 1, 1)),
+             ((3, 2, 1, 0), (3, 2, 1, 0))]
+    wide = [((11, 2, 1, 1, 0), (10, 2, 1, 1, 1)), ((11, 2, 1, 1, 0), (11, 2, 1, 1, 0)),
+            ((12, 1, 1, 1, 0), (10, 2, 1, 1, 1))]
+    for p in (2, 3, 5):
+        _assert_same_models(mixed, p, singles)
+        _assert_same_models(wide, p, singles)
+    assert batches > 100
+
+
+def test_verify_hom_bound_generates_each_slice_once_and_keeps_no_prefetch(monkeypatch, capsys):
+    # over a small verify --theorem 6.1 grid from cold memos, each slice's
+    # relations are generated once, only for a slice that is then built,
+    # and nothing generated ahead outlives its op
+    from weylkit.cli import main
+
+    for memo in (build_weight_space, act_matrix, act_matrix_simple, gram_data):
+        memo.cache_clear()
+    generated = Counter()
+    passes = []
+    real = weyl._box_relations
+
+    def counting(slices, p):
+        generated.update((mu, alpha, p) for mu, alpha in slices)
+        passes.append(len(slices))
+        return real(slices, p)
+
+    monkeypatch.setattr(weyl, "_box_relations", counting)
+    for p in (2, 3):
+        for r in (4, 5):
+            for lam in enumerate_partitions(3, r):
+                for mu in enumerate_partitions(3, r):
+                    argv = ["verify", "--theorem", "6.1", "--p", str(p), "--d", "1",
+                            "--lambda", ",".join(map(str, lam)), "--mu", ",".join(map(str, mu))]
+                    assert main(argv) in (0, 1), argv
+                    assert weyl._PREFETCHED == {}, argv
+    capsys.readouterr()
+    assert max(generated.values()) == 1
+    assert sum(generated.values()) == build_weight_space.cache_info().currsize
+    assert max(passes) > 1
+
+
+def test_box_relations_reject_a_pass_over_two_row_counts():
+    with pytest.raises(ValueError, match="one number of rows"):
+        weyl._box_relations([((2, 1), (2, 1)), ((2, 1, 0), (2, 1, 0))], 3)
 
 
 def test_box_relation_rank_example():
