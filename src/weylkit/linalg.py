@@ -180,7 +180,14 @@ def complex_ranks(diffs: list, p: int) -> list[int]:
     cleared: set[int] = set()  # pivot columns of the reduced diffs[k+1]
     for k in reversed(range(len(diffs))):
         mat = diffs[k] if isinstance(diffs[k], SparseMod) else SparseMod.from_dense(diffs[k], p)
-        pivots = _pivots((row for i, row in enumerate(mat.row_dicts()) if i not in cleared), p)
+        # only the rows not cleared become {column: value} dicts
+        keep = np.ones(mat.shape[0], dtype=bool)
+        keep[list(cleared)] = False
+        entries = keep[mat.rows]
+        cols, vals = mat.cols[entries].tolist(), mat.vals[entries].tolist()
+        bounds = np.searchsorted(mat.rows[entries], np.flatnonzero(keep)).tolist() + [len(cols)]
+        rows = (dict(zip(cols[a:b], vals[a:b])) for a, b in zip(bounds, bounds[1:]))
+        pivots = _pivots(rows, p)
         ranks[k] = len(pivots)
         cleared = set(pivots)
     return ranks

@@ -60,14 +60,11 @@ def structure_constant_int(theta, p: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
-def xi_product_terms(w: Matrix, pi: Matrix, p: int) -> tuple[tuple[Matrix, int], ...]:
-    """Sparse terms of xi_w . xi_pi as ((matrix, coefficient), ...), zeros dropped.
-
-    Memoised: the resolution differentials reuse the same products many times.
-    """
+def _xi_states(w: Matrix, pi: Matrix, p: int) -> dict[tuple[int, ...], int]:
+    """The terms of xi_w . xi_pi as {flattened matrix: coefficient}, zeros
+    dropped, in no particular order: the dynamic program, unmemoised."""
     if margin1(w) != margin2(pi):
-        return ()
+        return {}
     n = len(w)
     binom = binom_table(p)
     states = {(0,) * (n * n): 1}  # flattened partial sum S -> coefficient
@@ -84,6 +81,21 @@ def xi_product_terms(w: Matrix, pi: Matrix, p: int) -> tuple[tuple[Matrix, int],
                         c = c * binom[a, b] % p
                 merged[new] = merged.get(new, 0) + c
         states = {s: c % p for s, c in merged.items() if c % p}
+    return states
+
+
+@lru_cache(maxsize=None)
+def xi_product_terms(w: Matrix, pi: Matrix, p: int) -> tuple[tuple[Matrix, int], ...]:
+    """Sparse terms of xi_w . xi_pi as ((matrix, coefficient), ...), zeros dropped.
+
+    Memoised for its readers in ``resolutions`` (the merge tables of the
+    chain arrows, and ``sy_arrows``), ``xi_product`` and
+    ``element_product``: the merge tables of the chain spaces of different
+    weights share some of their products.  ``weyl.act_matrix``,
+    whose products seldom repeat, reads the unmemoised ``_xi_states``.
+    """
+    n = len(w)
+    states = _xi_states(w, pi, p)
     # sorted on the flattened S, which is the order of the row-tuple matrices
     return tuple((tuple(zip(*[iter(s)] * n)), c) for s, c in sorted(states.items(), reverse=True))
 

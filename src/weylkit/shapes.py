@@ -188,53 +188,69 @@ def _flatten_tensor(t) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_contingency(row_sums: Composition, col_sums: Composition) -> tuple[Matrix, ...]:
-    """All nonnegative integer matrices with the given row and column sums.
-
-    Empty when the two totals disagree.  The matrices grow a row at a time,
-    all at once in numpy: each composition of the next row sum that fits
-    under the column sums is tested against every partial matrix's remaining
-    column budget in one broadcast comparison, and the last row is the
-    budget that remains.  Bounding the candidates by the column sums keeps a
-    shifted row sum r + p^d from listing all of its compositions.  Partial
-    matrices stay in descending-lex order and each one's candidates come in
-    descending-lex order, so the whole list is descending-lex on the
-    flattened matrix.
-    """
-    if sum(row_sums) != sum(col_sums):
-        return ()
-    if not row_sums or not col_sums:
-        return (((),) * len(row_sums),)
-    n_cols = len(col_sums)
-    budget = np.array([col_sums], dtype=np.int64)
-    candidates: list[tuple[Composition, ...]] = []  # per row but the last
-    picks: list[np.ndarray] = []  # per row but the last, the candidate of each matrix
-    for total in row_sums[:-1]:
-        comps = tuple(_compositions_bounded(total, col_sums))
-        table = np.array(comps, dtype=np.int64).reshape(-1, n_cols)
-        state, pick = np.nonzero((table[None, :, :] <= budget[:, None, :]).all(axis=2))
-        picks = [earlier[state] for earlier in picks] + [pick]
-        budget = budget[state] - table[pick]
-        candidates.append(comps)
-    rows = [map(comps.__getitem__, pick.tolist()) for comps, pick in zip(candidates, picks)]
-    return tuple(zip(*rows, map(tuple, budget.tolist())))
+def _row_table(total: int, bounds: Composition) -> np.ndarray:
+    """The compositions of total under ``bounds``, descending-lex, as one
+    read-only (k, len(bounds)) int64 array: the candidates of one row of a
+    contingency matrix whose column sums are ``bounds``."""
+    table = np.array(tuple(_compositions_bounded(total, bounds)), dtype=np.int64).reshape(-1, len(bounds))
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
 def contingency_array(row_sums: Composition, col_sums: Composition) -> np.ndarray:
-    """``enumerate_contingency(row_sums, col_sums)`` as one read-only array
-    of shape (matrices, len(row_sums), len(col_sums)), in the same order.
+    """All nonnegative integer matrices with the given row and column sums,
+    as one read-only array of shape (matrices, len(row_sums), len(col_sums)),
+    in descending-lex order of the flattened matrix.
 
-    Its dtype is uint8 while the total is below 256 and int64 beyond, so
-    the array stays a small fraction of the tuples it mirrors.  The
-    semistandard filter and the box relations of a weight slice both read
-    it.
+    Empty when the two totals disagree.  The matrices grow a row at a time,
+    all at once in numpy: the compositions of the next row sum that fit
+    under the column sums (``_row_table``) are tested against every partial
+    matrix's remaining column budget in one broadcast comparison, and the
+    last row is the budget that remains.  Bounding the candidates by the
+    column sums keeps a shifted row sum r + p^d from listing all of its
+    compositions.  Partial matrices stay in descending-lex order and each
+    one's candidates come in descending-lex order, so the whole array is
+    descending-lex.
+
+    Its dtype is uint8 while the total is below 256 and int64 beyond.  The
+    weight slices of ``weyl`` read it as their monomial basis.
     """
-    counts = enumerate_contingency(row_sums, col_sums)
+    shape = (len(row_sums), len(col_sums))
     dtype = np.uint8 if sum(col_sums) < 256 else np.int64
-    out = np.array(counts, dtype=dtype).reshape(len(counts), len(row_sums), len(col_sums))
+    if sum(row_sums) != sum(col_sums):
+        out = np.zeros((0, *shape), dtype=dtype)
+    elif not row_sums or not col_sums:
+        out = np.zeros((1, *shape), dtype=dtype)
+    else:
+        budget = np.array([col_sums], dtype=np.int64)
+        tables: list[np.ndarray] = []  # per row but the last
+        picks: list[np.ndarray] = []  # per row but the last, the candidate of each matrix
+        for total in row_sums[:-1]:
+            table = _row_table(total, col_sums)
+            state, pick = np.nonzero((table[None, :, :] <= budget[:, None, :]).all(axis=2))
+            picks = [earlier[state] for earlier in picks] + [pick]
+            budget = budget[state] - table[pick]
+            tables.append(table)
+        out = np.empty((len(budget), *shape), dtype=dtype)
+        for k, (table, pick) in enumerate(zip(tables, picks)):
+            out[:, k] = table[pick]
+        out[:, -1] = budget
     out.flags.writeable = False
     return out
+
+
+def decode_matrices(array: np.ndarray) -> tuple[Matrix, ...]:
+    """The matrices of an (m, rows, cols) array as tuples of row tuples."""
+    return tuple(tuple(map(tuple, w)) for w in array.tolist())
+
+
+@lru_cache(maxsize=None)
+def enumerate_contingency(row_sums: Composition, col_sums: Composition) -> tuple[Matrix, ...]:
+    """``contingency_array(row_sums, col_sums)`` as tuples of row tuples, in
+    the same order.  Its readers are small tables and the tests; a weight
+    slice reads the array."""
+    return decode_matrices(contingency_array(row_sums, col_sums))
 
 
 def enumerate_omega(alpha, beta) -> list[Matrix]:
@@ -404,18 +420,18 @@ def enumerate_sst(mu: Composition, alpha: Composition) -> tuple[Tableau, ...]:
     in which row j+1 fits strictly under row j: with c the count matrix
     summed down the entries, no entry 1 lies below the top row, and the
     lower row's count of entries <= v never exceeds the upper row's count
-    of entries <= v-1.  So they are a filter of ``enumerate_contingency``,
-    in its order.
+    of entries <= v-1.  So they are a filter of ``contingency_array``, in
+    its order, and only the rows kept become tableaux.
     """
     mu = validate_partition(mu)
     alpha = validate_composition(alpha)
     n = len(mu)
     if len(alpha) != n or sum(alpha) != sum(mu):
         raise ValueError(f"weight {alpha} incompatible with shape {mu}")
-    counts = enumerate_contingency(alpha, mu)
-    cum = contingency_array(alpha, mu).cumsum(axis=1, dtype=np.int64)
+    counts = contingency_array(alpha, mu)
+    cum = counts.cumsum(axis=1, dtype=np.int64)
     keep = (cum[:, :1, 1:] == 0).all(axis=(1, 2)) & (cum[:, 1:, 1:] <= cum[:, :-1, :-1]).all(axis=(1, 2))
-    return tuple(Tableau(counts[k]) for k in np.flatnonzero(keep).tolist())
+    return tuple(map(Tableau, decode_matrices(counts[keep])))
 
 
 def kostka(mu, alpha) -> int:

@@ -9,47 +9,53 @@ into row i+1 (multiplication, which contributes binomial coefficients).
 
 Everything is computed one weight at a time.  The weight-alpha slice of
 D(mu) has the divided monomials as basis, indexed by matrices with column
-margin mu and row margin alpha.  The relations are stored sparse, as a
-``linalg.SparseMod`` built in bulk with numpy: each monomial, together with
-every nonzero vector of boxes moved back out of its column i+1, names one
-generator that reaches it.  The semistandard tableaux of weight alpha
-survive as a basis of the quotient.  With their columns numbered first,
-``linalg._pivots`` finds one pivot row per other monomial and stops there,
-and back-substitution writes every monomial in semistandard coordinates:
-its normal form, the straightening map.  The relations the elimination
-never read are certified rather than reduced: each must vanish on the
-normal form.  The pivot rows span the kernel of the normal form, a
-complement of the semistandard span, so this holds exactly when the
-relations span that kernel, which is what a full Gauss-Jordan elimination
-would check.  ``build_weight_spaces`` generates the relations of several
-slices in one numpy pass; the Hom oracle reads its slices that way.
+margin mu and row margin alpha.  A slice holds them as one numpy array
+(``shapes.contingency_array``) with an ascending integer key per monomial,
+and finds a monomial by a key search, never through Python tuples.  The
+relations are stored sparse, as a ``linalg.SparseMod`` built in bulk with
+numpy: each monomial, together with every nonzero vector of boxes moved
+back out of its column i+1, names one generator that reaches it.  The
+semistandard tableaux of weight alpha survive as a basis of the quotient.
+With their columns numbered first, ``linalg._pivots`` finds one pivot row
+per other monomial and stops there, and back-substitution writes every
+monomial in semistandard coordinates: its normal form, the straightening
+map.  The relations the elimination never read are certified rather
+than reduced: each must vanish on the normal form.  The pivot rows span
+the kernel of the normal form, a complement of the semistandard span, so
+this holds exactly when the relations span that kernel, which is what a
+full Gauss-Jordan elimination would check.  ``build_weight_spaces``
+generates the relations of several slices in one numpy pass; the Hom
+oracle reads its slices that way.  The action of xi_w between two slices
+(``act_matrix``) looks up the product terms of all its columns in one key
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
 
 from .fparith import binom_mod, binom_table, check_prime
 from .linalg import SparseMod, _pivots, rref_mod
-from .schur import xi_product_terms
+from .schur import _xi_states
 from .shapes import (
     Composition,
     Matrix,
     Tableau,
     _compositions_bounded,
     contingency_array,
+    decode_matrices,
     enumerate_compositions,
-    enumerate_contingency,
     enumerate_sst,
     kostka,
     margin1,
     margin2,
     transpose_matrix,
     validate_composition,
+    validate_matrix,
     validate_partition,
 )
 
@@ -58,28 +64,76 @@ from .shapes import (
 class WeightSpaceModel:
     """The weight-alpha slice of the Weyl module of highest weight mu over F_p.
 
-    ``monomials`` lists the divided-monomial basis of the ambient slice of
-    D(mu); ``sst`` the semistandard tableaux of this weight; ``normal_form``
-    maps monomial coordinates to semistandard coordinates (one row per
-    monomial).
+    ``array`` holds the divided-monomial basis of the ambient slice of
+    D(mu), ``shapes.contingency_array(alpha, mu)``, and ``keys`` an
+    ascending integer key per monomial (``_monomial_keys``), so that a
+    monomial is found by ``np.searchsorted``; ``sst`` lists the
+    semistandard tableaux of this weight; ``normal_form`` maps monomial
+    coordinates to semistandard coordinates (one row per monomial).
     """
 
     mu: Composition
     alpha: Composition
     p: int
-    monomials: tuple[Matrix, ...]
+    array: np.ndarray
+    keys: np.ndarray
     sst: tuple[Tableau, ...]
     relation_rank: int
     normal_form: np.ndarray
-    index: dict[Matrix, int]
 
     @property
     def dim(self) -> int:
         return len(self.sst)
 
+    @property
+    def monomials(self) -> tuple[Matrix, ...]:
+        """The monomials as matrices, decoded from ``array`` on each call."""
+        return decode_matrices(self.array)
+
     def monomial_class(self, w: Matrix) -> np.ndarray:
         """Semistandard coordinates of the class of the divided monomial w."""
-        return self.normal_form[self.index[w]]
+        w = validate_matrix(w, len(self.mu))
+        if margin2(w) != self.alpha or margin1(w) != self.mu:
+            raise KeyError(f"{w} is not a monomial of weight {self.alpha} in D({self.mu})")
+        return self.normal_form[_positions(self.keys, np.array([w]), sum(self.mu))[0]]
+
+
+@lru_cache(maxsize=None)
+def _key_digits(n: int, total: int) -> tuple[np.ndarray, int]:
+    """(place, span) for keying n x n matrices of known margins and the
+    given total.  Such a matrix is fixed by its block without the last row
+    and column, and two of them compare in lex order as those blocks do, so
+    the block's digits in radix total + 1 (``place`` holds their weights,
+    highest first) give a value below ``span`` in that order.  The dtype is
+    int64 while ``span`` fits, and Python ints (object) beyond."""
+    radix, width = total + 1, (n - 1) ** 2
+    span = radix**width
+    dtype = np.int64 if span < 2**63 else object
+    place = np.array([radix**k for k in range(width - 1, -1, -1)], dtype=dtype)
+    place.flags.writeable = False
+    return place, span
+
+
+def _monomial_keys(ws: np.ndarray, total: int) -> np.ndarray:
+    """A key per matrix of the (k, n, n) array ``ws``, all with one pair of
+    margins and the given total: the block value counted down, so that the
+    descending-lex monomials of a slice get ascending keys."""
+    place, span = _key_digits(ws.shape[1], total)
+    block = ws[:, :-1, :-1].reshape(len(ws), place.size)
+    return (span - 1) - (block if place.dtype == np.int64 else block.astype(object)) @ place
+
+
+def _positions(keys: np.ndarray, ws: np.ndarray, total: int) -> np.ndarray:
+    """The index of each matrix of the (k, n, n) array ``ws`` among the
+    monomials of a slice of total ``total`` whose keys are ``keys``.  The
+    matrices must have the slice's margins, which the key alone does not
+    check; a KeyError if one of them is still not a monomial there."""
+    wanted = _monomial_keys(ws, total)
+    found = np.searchsorted(keys, wanted)
+    hit = keys.take(found, mode="clip") == wanted if len(keys) else np.zeros(len(ws), dtype=bool)
+    if not hit.all():
+        raise KeyError(f"{decode_matrices(ws[~hit][:1])[0]} is not a monomial of the slice")
+    return found
 
 
 def _sub_vectors(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,10 +166,14 @@ def box_relation_vectors(mu, alpha, p: int) -> tuple[tuple[Matrix, ...], SparseM
     prod_s C(w[s][i+1], v_s).  So the nonzero v <= column i+1 of w list
     every (generator, image) pair once, read off the monomials in bulk.
     """
-    mu = validate_partition(mu)
-    alpha = validate_composition(alpha, n=len(mu), r=sum(mu))
+    mu, alpha = _check_slice(mu, alpha, p)
+    return decode_matrices(contingency_array(alpha, mu)), _box_relations([(mu, alpha)], p)[0]
+
+
+def _check_slice(mu, alpha, p: int) -> tuple[Composition, Composition]:
     check_prime(p)
-    return enumerate_contingency(alpha, mu), _box_relations([(mu, alpha)], p)[0]
+    mu = validate_partition(mu)
+    return mu, validate_composition(alpha, n=len(mu), r=sum(mu))
 
 
 def _box_relations(slices: list[tuple[Composition, Composition]], p: int) -> list[SparseMod]:
@@ -147,17 +205,14 @@ def _box_relations(slices: list[tuple[Composition, Composition]], p: int) -> lis
     for k in range(1, n):
         coeff = coeff * factors[:, k] % p
     # One integer key numbers the generators in (slice, i, t, rho
-    # descending) order.  A matrix of known margins is fixed by its block
-    # without the last row and column, and two such matrices compare in
-    # lex order as those blocks do, so the key holds the block's digits in
-    # radix total + 1, counted down.  Beyond int64 the key is a Python int.
-    radix, width = total + 1, (n - 1) ** 2
-    span = radix**width
+    # descending) order: the slice, i and t lead, then rho's block value
+    # (``_key_digits``) counted down.
+    place, span = _key_digits(n, total)
     dtype = np.int64 if len(slices) * (n - 1) * (top + 1) * span < 2**63 else object
-    place = np.array([radix**k for k in range(width - 1, -1, -1)], dtype=dtype).reshape(n - 1, n - 1)
+    place = place.astype(dtype).reshape(n - 1, n - 1)
     # rho is w with v moved back from column i+1 to column i
     step = place.T - np.vstack([place.T[1:], np.zeros((1, n - 1), dtype=dtype)])
-    rho = cube[:, :-1, :-1].reshape(m, width).astype(dtype) @ place.ravel()
+    rho = cube[:, :-1, :-1].reshape(m, place.size).astype(dtype) @ place.ravel()
     rho = rho[w] + (moved[:, :-1] * step[i]).sum(axis=1)
     prefix = (np.repeat(np.arange(len(slices)), sizes)[w] * (n - 1) + i) * (top + 1) + moved.sum(axis=1)
     distinct, rows = np.unique(prefix.astype(dtype) * span + (span - 1 - rho), return_inverse=True)
@@ -308,30 +363,27 @@ def build_weight_space(mu: Composition, alpha: Composition, p: int) -> WeightSpa
     them ahead."""
     relations = _PREFETCHED.pop((mu, alpha, p), None)
     if relations is None:
-        monomials, relations = box_relation_vectors(mu, alpha, p)
-    else:
-        monomials = enumerate_contingency(alpha, mu)
+        relations = box_relation_vectors(mu, alpha, p)[1]
+    array = contingency_array(alpha, mu)
+    keys = _monomial_keys(array, sum(mu))
     sst = enumerate_sst(mu, alpha)
-    index = {w: i for i, w in enumerate(monomials)}
-    sst_cols = [index[t.to_matrix()] for t in sst]
+    # the tableaux are monomials of this slice
+    tableaux = np.array([t.counts for t in sst], dtype=np.int64).reshape(-1, *array.shape[1:])
+    sst_cols = _positions(keys, tableaux, sum(mu)).tolist()
     normal_form = _normal_form(relations, sst_cols, p, f"mu={mu}, alpha={alpha}, p={p}")
-    normal_form.flags.writeable = False
-    return WeightSpaceModel(mu, alpha, p, monomials, sst, len(monomials) - len(sst), normal_form, index)
+    for arr in (keys, normal_form):
+        arr.flags.writeable = False
+    return WeightSpaceModel(mu, alpha, p, array, keys, sst, len(array) - len(sst), normal_form)
 
 
 def build_weight_spaces(slices, p: int) -> list[WeightSpaceModel]:
     """``build_weight_space`` at each (mu, alpha) of several weight slices
     with one number of rows: the relations of every slice not yet memoised
     come from one ``_box_relations`` pass."""
-    check_prime(p)
-    checked = []
-    for mu, alpha in slices:
-        mu = validate_partition(mu)
-        checked.append((mu, validate_composition(alpha, n=len(mu), r=sum(mu))))
-    slices = checked
+    slices = [_check_slice(mu, alpha, p) for mu, alpha in slices]
     missing = [key for key in dict.fromkeys(slices) if (*key, p) not in build_weight_space.memo]
     try:
-        if len(missing) > 1:
+        if missing:
             for key, relations in zip(missing, _box_relations(missing, p)):
                 _PREFETCHED[(*key, p)] = relations
         return [build_weight_space(mu, alpha, p) for mu, alpha in slices]
@@ -405,15 +457,28 @@ def two_row_straighten(tab: Tableau, mu, p: int) -> np.ndarray:
 def act_matrix(w: Matrix, mu: Composition, p: int) -> np.ndarray:
     """Matrix of xi_w on the Weyl module of shape mu, from the weight slice
     at the column margin of w to the slice at its row margin, in
-    semistandard coordinates."""
+    semistandard coordinates.
+
+    Column j is the class of xi_w times the j-th source tableau: its
+    product terms are found among the target monomials by one key search
+    for all columns, and their normal-form rows are summed in one pass."""
     src = build_weight_space(mu, margin1(w), p)
     tgt = build_weight_space(mu, margin2(w), p)
-    out = np.zeros((tgt.dim, src.dim), dtype=np.int64)
+    flat, coeffs, cols, starts = [], [], [], []
     for j, tab in enumerate(src.sst):
-        col = np.zeros(tgt.dim, dtype=np.int64)
-        for m, c in xi_product_terms(w, tab.to_matrix(), p):
-            col = (col + c * tgt.monomial_class(m)) % p
-        out[:, j] = col
+        terms = _xi_states(w, tab.counts, p)
+        if terms:
+            cols.append(j)
+            starts.append(len(flat))
+            flat.extend(terms)
+            coeffs.extend(terms.values())
+    out = np.zeros((tgt.dim, src.dim), dtype=np.int64)
+    if flat:
+        # every term has the target slice's margins
+        n = len(mu)
+        rows = _positions(tgt.keys, np.array(flat, dtype=np.int64).reshape(-1, n, n), sum(mu))
+        images = tgt.normal_form[rows] * np.array(coeffs, dtype=np.int64)[:, None]
+        out[:, cols] = np.add.reduceat(images, starts, axis=0).T % p
     out.flags.writeable = False
     return out
 

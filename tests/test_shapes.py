@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import weylkit.shapes
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from weylkit.shapes import (
     Tableau,
     chain_space,
+    contingency_array,
     diagonal_matrix,
     dominates,
     enumerate_compositions,
@@ -163,6 +165,78 @@ def test_enumerate_contingency_edge_cases(rows, cols):
 def test_enumerate_contingency_matches_bruteforce(rows, cols):
     rows, cols = tuple(rows), tuple(cols)
     assert enumerate_contingency(rows, cols) == contingency_bruteforce(rows, cols)
+
+
+def contingency_by_rows(rows, cols):
+    """Matrices with the given margins, a row at a time in Python: each
+    first row that fits under the column sums, in descending-lex order,
+    followed by every matrix of the remaining rows under what is left."""
+    def heads(total, bounds):
+        if not bounds:
+            if total == 0:
+                yield ()
+            return
+        for head in range(min(total, bounds[0]), max(total - sum(bounds[1:]), 0) - 1, -1):
+            for rest in heads(total - head, bounds[1:]):
+                yield (head,) + rest
+
+    if not rows:
+        return [()] if not any(cols) else []
+    return [
+        (first,) + rest
+        for first in heads(rows[0], cols)
+        for rest in contingency_by_rows(rows[1:], tuple(c - x for c, x in zip(cols, first)))
+    ]
+
+
+def test_contingency_array_matches_enumerate_omega_row_by_row():
+    # square margins with n <= 4 and total <= 8: every pair of compositions
+    # for n <= 3, and every composition against every partition for n = 4
+    cases = 0
+    for n in (1, 2, 3, 4):
+        for total in range(9):
+            margins = enumerate_partitions(n, total) if n == 4 else enumerate_compositions(n, total)
+            for rows in enumerate_compositions(n, total):
+                for cols in margins:
+                    array = contingency_array(rows, cols)
+                    assert array.dtype == np.uint8 and array.shape[1:] == (n, n)
+                    expected = contingency_by_rows(rows, cols)
+                    assert len(array) == len(expected) == len(enumerate_omega(rows, cols)), (rows, cols)
+                    for row, matrix, reference in zip(array.tolist(), enumerate_omega(rows, cols), expected):
+                        assert tuple(map(tuple, row)) == matrix == reference, (rows, cols)
+                    cases += 1
+    assert cases > 5000
+
+
+@pytest.mark.parametrize("rows, cols, shape", [
+    ((2, 1), (1, 1), (0, 2, 2)), ((1,), (2, 0, 0), (0, 1, 3)), ((3, 0), (0, 2), (0, 2, 2)),  # unequal totals
+    ((), (), (1, 0, 0)), ((), (0, 0), (1, 0, 2)), ((0, 0, 0), (), (1, 3, 0)), ((), (1,), (0, 0, 1)),
+])
+def test_contingency_array_empty_cases(rows, cols, shape):
+    array = contingency_array(rows, cols)
+    assert array.shape == shape
+    assert array.tolist() == [list(map(list, w)) for w in contingency_by_rows(rows, cols)]
+    assert enumerate_omega(rows, cols) == [tuple(map(tuple, w)) for w in array.tolist()]
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ((200, 100), (150, 150)),  # total 300: past uint8
+    ((255, 1), (128, 128)),  # total 256, the first int64 total
+    ((2**40 + 2, 1, 0), (2**40 + 1, 2, 0)),  # an entry shifted by 2^40
+])
+def test_contingency_array_large_totals(rows, cols):
+    array = contingency_array(rows, cols)
+    assert array.dtype == np.int64
+    assert [tuple(map(tuple, w)) for w in array.tolist()] == contingency_by_rows(rows, cols)
+    assert enumerate_omega(rows, cols) == contingency_by_rows(rows, cols)
+
+
+def test_contingency_array_is_read_only():
+    array = contingency_array((2, 1, 1), (2, 2, 0))
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0, 0, 0] = 1
+    assert contingency_array((2, 1, 1), (2, 2, 0)) is array
 
 
 def test_enumerate_omega_margins_and_determinism():

@@ -10,6 +10,7 @@ from weylkit.shapes import (
     diagonal_matrix,
     dominates,
     enumerate_compositions,
+    enumerate_contingency,
     enumerate_omega,
     enumerate_partitions,
     enumerate_sst,
@@ -21,6 +22,7 @@ from weylkit.shapes import (
     transpose_matrix,
 )
 from weylkit.linalg import SparseMod, kernel_basis_mod, rref_mod
+from weylkit.ext import hom_dim_oracle
 from weylkit.resolutions import box_presentation
 from weylkit.schur import xi_product, xi_product_terms
 from weylkit import weyl
@@ -275,6 +277,81 @@ def test_verify_hom_bound_generates_each_slice_once_and_keeps_no_prefetch(monkey
     assert max(generated.values()) == 1
     assert sum(generated.values()) == build_weight_space.cache_info().currsize
     assert max(passes) > 1
+
+
+def test_slice_builds_leave_the_tuple_tables_alone():
+    # a slice is held as its array: building slices, singly or through the
+    # Hom oracle's batches, adds nothing to enumerate_contingency's memo
+    for memo in (build_weight_space, act_matrix):
+        memo.cache_clear()
+    act_matrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)), (3, 1, 0), 3)  # the products' own small tables
+    before = enumerate_contingency.cache_info().currsize
+    build_weight_space.cache_clear()
+    for p in (2, 3):
+        for mu in enumerate_partitions(4, 6):
+            for alpha in enumerate_compositions(4, 6):
+                build_weight_space(mu, alpha, p)
+    for lam in enumerate_partitions(3, 5):
+        weights = [lam] + [lam[:f.i - 1] + (lam[f.i - 1] + f.t, lam[f.i] - f.t) + lam[f.i + 1:]
+                           for f in box_presentation(lam)]
+        for mu in enumerate_partitions(3, 5):
+            weyl.build_weight_spaces([(mu, alpha) for alpha in weights], 5)
+    build_weight_space((11, 2, 1, 1, 0), (10, 2, 1, 1, 1), 3)
+    assert build_weight_space.cache_info().currsize > 1000
+    assert enumerate_contingency.cache_info().currsize == before
+
+
+def test_act_matrix_leaves_the_product_memo_alone():
+    # act_matrix reads the unmemoised product; the memo is for the chain
+    # arrows and SchurElement products
+    act_matrix.cache_clear()
+    before = xi_product_terms.cache_info().currsize
+    for p in (2, 3):
+        for lam in enumerate_partitions(4, 6):
+            for mu in enumerate_partitions(4, 6):
+                hom_dim_oracle(lam, mu, p)
+    assert act_matrix.cache_info().currsize > 100
+    assert xi_product_terms.cache_info().currsize == before
+
+
+def test_act_matrix_matches_the_column_by_column_sum():
+    # each column is the sum of the target classes of the product terms of
+    # xi_w with one source tableau
+    checked = 0
+    for p in (2, 3):
+        for n, r in ((2, 4), (3, 4), (4, 4)):
+            comps = enumerate_compositions(n, r)
+            for mu in enumerate_partitions(n, r)[1:]:
+                for a, b in itertools.product(comps, comps):
+                    for w in enumerate_omega(a, b)[::3]:
+                        src, tgt = build_weight_space(mu, b, p), build_weight_space(mu, a, p)
+                        expected = np.zeros((tgt.dim, src.dim), dtype=np.int64)
+                        for j, tab in enumerate(src.sst):
+                            for m, c in xi_product_terms(w, tab.to_matrix(), p):
+                                expected[:, j] = (expected[:, j] + c * tgt.monomial_class(m)) % p
+                        got = act_matrix(w, mu, p)
+                        assert got.shape == expected.shape and np.array_equal(got, expected), (w, mu, p)
+                        checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("mu, alpha", [
+    ((3, 2, 1), (2, 2, 2)),
+    ((4, 2, 1, 1), (2, 2, 2, 2)),
+    ((11, 2, 1, 1, 0), (10, 2, 1, 1, 1)),  # keys past int64
+    (plus_shift_composition((2, 1, 0), 40, 2), plus_shift_composition((1, 1, 1), 40, 2)),
+])
+def test_monomial_class_is_the_normal_form_row(mu, alpha):
+    model = build_weight_space(mu, alpha, 3)
+    big = len(mu) == 5 or max(mu) > 2**40
+    assert (model.keys.dtype == object) == big
+    assert (np.diff(model.keys) > 0).all()
+    for i, w in enumerate(model.monomials):
+        assert np.array_equal(model.monomial_class(w), model.normal_form[i]), (w, i)
+    w = [list(row) for row in model.monomials[-1]]
+    w[-1][-1] += 1  # the same key, other margins
+    with pytest.raises(KeyError):
+        model.monomial_class(w)
 
 
 def test_box_relations_reject_a_pass_over_two_row_counts():
