@@ -36,7 +36,6 @@ from .weyl import (
     GramData,
     WeightSpaceModel,
     act_matrix,
-    box_relation_vectors,
     build_weight_space,
     gram_data,
     simple_dim,

@@ -98,12 +98,18 @@ def _cache_load(cache: Path | None, key: dict) -> dict | None:
         return None
     path = cache / f"{_key_hash(key)}.json"
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        record = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return None
-    except ValueError as exc:  # undecodable or truncated: recompute and replace it
-        print(f"warning: ignoring unreadable cache record {path}: {exc}", file=sys.stderr)
-        return None
+    except ValueError as exc:  # undecodable or truncated
+        problem = exc
+    else:
+        result = record.get("result") if isinstance(record, dict) else None
+        if isinstance(result, dict) and result.get("key") == key:
+            return record
+        problem = "not a record of this key"
+    print(f"warning: ignoring unreadable cache record {path}: {problem}", file=sys.stderr)
+    return None
 
 
 def _cache_store(cache: Path | None, key: dict, record: dict):

@@ -18,9 +18,10 @@ telescopes into binomials of partial sums,
 so a dynamic program over the middle index t needs only the partial sum
 S = sum_{u<=t} theta[.][u][.] as its state.  Slice t of theta is any
 contingency matrix X with row sums column t of w and column sums row t of
-pi; it moves S to S + X and multiplies the coefficient by the binomials of
-that step.  Tensors that reach the same partial sum are merged by adding
-their coefficients mod p, and the final S is the term's matrix theta^2.
+pi, a row of ``shapes.contingency_array`` read flat; it moves S to S + X
+and multiplies the coefficient by the binomials of that step.  Tensors
+that reach the same partial sum are merged by adding their coefficients
+mod p, and the final S is the term's matrix theta^2.
 ``enumerate_theta`` and ``structure_constant_int`` compute the same sum
 tensor by tensor, as the reference.
 """
@@ -29,15 +30,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from operator import add
 
 from .fparith import binom_table, check_prime, multinom_mod
 from .shapes import (
     Matrix,
+    contingency_array,
     diagonal_matrix,
     enumerate_compositions,
-    enumerate_contingency,
     margin1,
     margin2,
     matrix_total,
@@ -69,8 +69,7 @@ def _xi_states(w: Matrix, pi: Matrix, p: int) -> dict[tuple[int, ...], int]:
     binom = binom_table(p)
     states = {(0,) * (n * n): 1}  # flattened partial sum S -> coefficient
     for t in range(n):
-        slices = enumerate_contingency(tuple(row[t] for row in w), tuple(pi[t]))
-        options = [tuple(chain.from_iterable(x)) for x in slices]
+        options = contingency_array(tuple(row[t] for row in w), tuple(pi[t])).reshape(-1, n * n).tolist()
         merged: dict[tuple[int, ...], int] = {}
         for s, c0 in states.items():
             for x in options:

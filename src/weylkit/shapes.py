@@ -19,8 +19,10 @@ Conventions used throughout the package:
 
 Matrices with prescribed margins, which index the divided monomials of a
 weight slice, are enumerated in bulk with numpy, a row at a time for all
-partial matrices at once.  The semistandard tableaux are the count
-matrices among them that pass one vectorised column-strictness test.
+partial matrices at once, and memoised as that array only: the tuple views
+(``enumerate_omega``, ``enumerate_theta``) decode it on each call.  The
+semistandard tableaux are the count matrices among them that pass one
+vectorised column-strictness test, ``sst_indices``.
 """
 
 from __future__ import annotations
@@ -214,7 +216,8 @@ def contingency_array(row_sums: Composition, col_sums: Composition) -> np.ndarra
     descending-lex.
 
     Its dtype is uint8 while the total is below 256 and int64 beyond.  The
-    weight slices of ``weyl`` read it as their monomial basis.
+    weight slices of ``weyl`` read it as their monomial basis, and the
+    Schur products of ``schur`` read its rows as their steps.
     """
     shape = (len(row_sums), len(col_sums))
     dtype = np.uint8 if sum(col_sums) < 256 else np.int64
@@ -245,17 +248,9 @@ def decode_matrices(array: np.ndarray) -> tuple[Matrix, ...]:
     return tuple(tuple(map(tuple, w)) for w in array.tolist())
 
 
-@lru_cache(maxsize=None)
-def enumerate_contingency(row_sums: Composition, col_sums: Composition) -> tuple[Matrix, ...]:
-    """``contingency_array(row_sums, col_sums)`` as tuples of row tuples, in
-    the same order.  Its readers are small tables and the tests; a weight
-    slice reads the array."""
-    return decode_matrices(contingency_array(row_sums, col_sums))
-
-
 def enumerate_omega(alpha, beta) -> list[Matrix]:
     """Matrices with row margin alpha and column margin beta."""
-    return list(enumerate_contingency(tuple(alpha), tuple(beta)))
+    return list(decode_matrices(contingency_array(tuple(alpha), tuple(beta))))
 
 
 def enumerate_theta(w, pi) -> list[Tensor]:
@@ -268,7 +263,7 @@ def enumerate_theta(w, pi) -> list[Tensor]:
     n = len(w)
     if matrix_total(w) != matrix_total(pi):
         return []
-    slices = [enumerate_contingency(tuple(row[t] for row in w), tuple(pi[t])) for t in range(n)]
+    slices = [decode_matrices(contingency_array(tuple(row[t] for row in w), tuple(pi[t]))) for t in range(n)]
     # slice t of each choice is theta[.][t][.], so theta[s] is row s of every slice
     results = [tuple(zip(*chosen)) for chosen in product(*slices)]
     results.sort(key=_flatten_tensor, reverse=True)
@@ -412,26 +407,34 @@ class Tableau:
         return f"Tableau({format_tableau(self)!r}, n={self.n})"
 
 
+def sst_indices(mu: Composition, alpha: Composition) -> np.ndarray:
+    """The positions in ``contingency_array(alpha, mu)`` of the semistandard
+    tableaux of shape mu and weight alpha, ascending.  Like that function
+    it takes tuples and checks nothing: mu a partition, alpha a composition
+    of the same length and total.
+
+    These are the count matrices in which row j+1 fits strictly under row
+    j: with c the count matrix summed down the entries, no entry 1 lies
+    below the top row, and the lower row's count of entries <= v never
+    exceeds the upper row's count of entries <= v-1.  One vectorised test
+    over the whole array, unmemoised.  A partial sum down a column stays
+    within its column sum, so it keeps the array's dtype.
+    """
+    counts = contingency_array(alpha, mu)
+    cum = counts.cumsum(axis=1, dtype=counts.dtype)
+    keep = ~counts[:, :1, 1:].any(axis=(1, 2)) & (cum[:, 1:, 1:] <= cum[:, :-1, :-1]).all(axis=(1, 2))
+    return keep.nonzero()[0]
+
+
 @lru_cache(maxsize=None)
 def enumerate_sst(mu: Composition, alpha: Composition) -> tuple[Tableau, ...]:
-    """Semistandard tableaux of shape mu and weight alpha.
-
-    These are the count matrices with row margin alpha and column margin mu
-    in which row j+1 fits strictly under row j: with c the count matrix
-    summed down the entries, no entry 1 lies below the top row, and the
-    lower row's count of entries <= v never exceeds the upper row's count
-    of entries <= v-1.  So they are a filter of ``contingency_array``, in
-    its order, and only the rows kept become tableaux.
-    """
+    """Semistandard tableaux of shape mu and weight alpha, the rows of
+    ``contingency_array(alpha, mu)`` at ``sst_indices(mu, alpha)``."""
     mu = validate_partition(mu)
     alpha = validate_composition(alpha)
-    n = len(mu)
-    if len(alpha) != n or sum(alpha) != sum(mu):
+    if len(alpha) != len(mu) or sum(alpha) != sum(mu):
         raise ValueError(f"weight {alpha} incompatible with shape {mu}")
-    counts = contingency_array(alpha, mu)
-    cum = counts.cumsum(axis=1, dtype=np.int64)
-    keep = (cum[:, :1, 1:] == 0).all(axis=(1, 2)) & (cum[:, 1:, 1:] <= cum[:, :-1, :-1]).all(axis=(1, 2))
-    return tuple(map(Tableau, decode_matrices(counts[keep])))
+    return tuple(map(Tableau, decode_matrices(contingency_array(alpha, mu)[sst_indices(mu, alpha)])))
 
 
 def kostka(mu, alpha) -> int:

@@ -15,17 +15,20 @@ and finds a monomial by a key search, never through Python tuples.  The
 relations are stored sparse, as a ``linalg.SparseMod`` built in bulk with
 numpy: each monomial, together with every nonzero vector of boxes moved
 back out of its column i+1, names one generator that reaches it.  The
-semistandard tableaux of weight alpha survive as a basis of the quotient.
-With their columns numbered first, ``linalg._pivots`` finds one pivot row
-per other monomial and stops there, and back-substitution writes every
-monomial in semistandard coordinates: its normal form, the straightening
-map.  The relations the elimination never read are certified rather
-than reduced: each must vanish on the normal form.  The pivot rows span
-the kernel of the normal form, a complement of the semistandard span, so
-this holds exactly when the relations span that kernel, which is what a
-full Gauss-Jordan elimination would check.  ``build_weight_spaces``
-generates the relations of several slices in one numpy pass; the Hom
-oracle reads its slices that way.  The action of xi_w between two slices
+semistandard tableaux of weight alpha, found among the monomials by
+``shapes.sst_indices``, survive as a basis of the quotient.  With their
+columns numbered first, ``linalg._pivots`` finds one pivot row per other
+monomial and stops there, and back-substitution writes every monomial in
+semistandard coordinates: its normal form, the straightening map.  The
+relations the elimination never read are certified rather than reduced:
+each must vanish on the normal form.  The pivot rows span the kernel of
+the normal form, a complement of the semistandard span, so this holds
+exactly when the relations span that kernel, which is what a full
+Gauss-Jordan elimination would check.  Every slice is built by one
+body that generates the relations of several slices in one numpy pass
+(``_box_relations``): ``build_weight_space`` is its memoised one-slice
+case, and ``build_weight_spaces``, which the Hom oracle reads, builds the
+slices it is missing together.  The action of xi_w between two slices
 (``act_matrix``) looks up the product terms of all its columns in one key
 search.
 """
@@ -53,6 +56,7 @@ from .shapes import (
     kostka,
     margin1,
     margin2,
+    sst_indices,
     transpose_matrix,
     validate_composition,
     validate_matrix,
@@ -153,23 +157,6 @@ def _sub_vectors(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, v
 
 
-def box_relation_vectors(mu, alpha, p: int) -> tuple[tuple[Matrix, ...], SparseMod]:
-    """Images of the box-relation generators in the weight-alpha monomial basis.
-
-    Returns (monomials, relations) where relations is a ``SparseMod`` over
-    F_p with one row per relation generator, in monomial coordinates.  The
-    rows run over the row pairs (i, i+1), then t, then the generators of
-    D(..., mu_i + t, mu_{i+1} - t, ...) in descending lex order.
-
-    The generator rho reaches the monomial w when w is rho with some v,
-    |v| = t, moved from column i to column i+1, with coefficient
-    prod_s C(w[s][i+1], v_s).  So the nonzero v <= column i+1 of w list
-    every (generator, image) pair once, read off the monomials in bulk.
-    """
-    mu, alpha = _check_slice(mu, alpha, p)
-    return decode_matrices(contingency_array(alpha, mu)), _box_relations([(mu, alpha)], p)[0]
-
-
 def _check_slice(mu, alpha, p: int) -> tuple[Composition, Composition]:
     check_prime(p)
     mu = validate_partition(mu)
@@ -177,9 +164,19 @@ def _check_slice(mu, alpha, p: int) -> tuple[Composition, Composition]:
 
 
 def _box_relations(slices: list[tuple[Composition, Composition]], p: int) -> list[SparseMod]:
-    """The relations of ``box_relation_vectors`` at each (mu, alpha) of
-    several weight slices, all with n rows, generated in one pass over all
-    their monomials.
+    """Images of the box-relation generators in the monomial basis of each
+    (mu, alpha) of several weight slices, all with n rows, generated in one
+    pass over all their monomials.
+
+    Each slice gets a ``SparseMod`` over F_p with one row per relation
+    generator, in monomial coordinates.  The rows run over the row pairs
+    (i, i+1), then t, then the generators of D(..., mu_i + t, mu_{i+1} - t,
+    ...) in descending lex order.
+
+    The generator rho reaches the monomial w when w is rho with some v,
+    |v| = t, moved from column i to column i+1, with coefficient
+    prod_s C(w[s][i+1], v_s).  So the nonzero v <= column i+1 of w list
+    every (generator, image) pair once, read off the monomials in bulk.
 
     The slice leads every generator's key, so one ``np.unique`` numbers the
     generators of all slices, each slice's in a block of its own.
@@ -279,11 +276,6 @@ def _memo_on_tuples(fn):
     return call
 
 
-# relations generated ahead by ``build_weight_spaces``, each popped by the
-# build of its slice and the rest dropped before that function returns
-_PREFETCHED: dict[tuple[Composition, Composition, int], SparseMod] = {}
-
-
 def _normal_form(relations: SparseMod, sst_cols: list[int], p: int, label: str) -> np.ndarray:
     """The straightening map of a weight slice with m monomials: one row of
     semistandard coordinates per monomial, the s semistandard tableaux
@@ -356,39 +348,39 @@ def _normal_form(relations: SparseMod, sst_cols: list[int], p: int, label: str) 
     return normal_form
 
 
+def _build_weight_spaces(slices: list[tuple[Composition, Composition]], p: int) -> list[WeightSpaceModel]:
+    """The weight-alpha model of the Weyl module of shape mu at each checked
+    (mu, alpha) of several slices with one number of rows, their relations
+    from one ``_box_relations`` pass.  Unmemoised."""
+    models = []
+    for (mu, alpha), relations in zip(slices, _box_relations(slices, p)):
+        array = contingency_array(alpha, mu)
+        keys = _monomial_keys(array, sum(mu))
+        sst_cols = sst_indices(mu, alpha).tolist()
+        normal_form = _normal_form(relations, sst_cols, p, f"mu={mu}, alpha={alpha}, p={p}")
+        for arr in (keys, normal_form):
+            arr.flags.writeable = False
+        sst = enumerate_sst(mu, alpha)
+        models.append(WeightSpaceModel(mu, alpha, p, array, keys, sst, len(array) - len(sst_cols), normal_form))
+    return models
+
+
 @_memo_on_tuples
 def build_weight_space(mu: Composition, alpha: Composition, p: int) -> WeightSpaceModel:
-    """Build (and cache) the weight-alpha model of the Weyl module of shape
-    mu, its relations taken from ``build_weight_spaces`` when that generated
-    them ahead."""
-    relations = _PREFETCHED.pop((mu, alpha, p), None)
-    if relations is None:
-        relations = box_relation_vectors(mu, alpha, p)[1]
-    array = contingency_array(alpha, mu)
-    keys = _monomial_keys(array, sum(mu))
-    sst = enumerate_sst(mu, alpha)
-    # the tableaux are monomials of this slice
-    tableaux = np.array([t.counts for t in sst], dtype=np.int64).reshape(-1, *array.shape[1:])
-    sst_cols = _positions(keys, tableaux, sum(mu)).tolist()
-    normal_form = _normal_form(relations, sst_cols, p, f"mu={mu}, alpha={alpha}, p={p}")
-    for arr in (keys, normal_form):
-        arr.flags.writeable = False
-    return WeightSpaceModel(mu, alpha, p, array, keys, sst, len(array) - len(sst), normal_form)
+    """Build (and cache) the weight-alpha model of the Weyl module of shape mu."""
+    return _build_weight_spaces([_check_slice(mu, alpha, p)], p)[0]
 
 
 def build_weight_spaces(slices, p: int) -> list[WeightSpaceModel]:
     """``build_weight_space`` at each (mu, alpha) of several weight slices
-    with one number of rows: the relations of every slice not yet memoised
-    come from one ``_box_relations`` pass."""
+    with one number of rows: every slice not yet memoised is built from one
+    ``_box_relations`` pass and memoised."""
     slices = [_check_slice(mu, alpha, p) for mu, alpha in slices]
-    missing = [key for key in dict.fromkeys(slices) if (*key, p) not in build_weight_space.memo]
-    try:
-        if missing:
-            for key, relations in zip(missing, _box_relations(missing, p)):
-                _PREFETCHED[(*key, p)] = relations
-        return [build_weight_space(mu, alpha, p) for mu, alpha in slices]
-    finally:
-        _PREFETCHED.clear()
+    memo = build_weight_space.memo
+    missing = [key for key in dict.fromkeys(slices) if (*key, p) not in memo]
+    if missing:
+        memo.update(((*key, p), model) for key, model in zip(missing, _build_weight_spaces(missing, p)))
+    return [memo[(*key, p)] for key in slices]
 
 
 def straighten(tab: Tableau, p: int, mu=None) -> np.ndarray:

@@ -663,13 +663,23 @@ def test_straighten_records_pinned(capsys, argv, expected):
     assert out == expected
 
 
-def test_truncated_cache_record_is_recomputed(tmp_path, capsys):
+@pytest.mark.parametrize("damage", ["truncated", "empty-object", "list", "null", "other-pair"])
+def test_truncated_cache_record_is_recomputed(tmp_path, capsys, damage):
+    # a record that does not decode, or decodes to anything but a record of
+    # the requested key, is warned about once, recomputed and replaced
     args = ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--cache-dir", str(tmp_path))
     code, out1, _ = run(capsys, *args)
     assert code == 0
     (path,) = tmp_path.glob("*.json")
     good = path.read_text()
-    path.write_text(good[: len(good) // 2])
+    if damage == "other-pair":
+        other = tmp_path / "other"
+        run(capsys, "ext", "--p", "2", "--lambda", "1,1", "--mu", "2", "--cache-dir", str(other))
+        (other_path,) = other.glob("*.json")
+        path.write_text(other_path.read_text())
+    else:
+        damaged = {"truncated": good[: len(good) // 2], "empty-object": "{}", "list": "[1, 2]", "null": "null"}
+        path.write_text(damaged[damage])
     code, out2, err = run(capsys, *args)
     assert code == 0
     assert json.loads(out2)["result"] == json.loads(out1)["result"]

@@ -10,7 +10,6 @@ from weylkit.shapes import (
     diagonal_matrix,
     dominates,
     enumerate_compositions,
-    enumerate_contingency,
     enumerate_omega,
     enumerate_partitions,
     enumerate_sst,
@@ -19,6 +18,7 @@ from weylkit.shapes import (
     margin2,
     matrix_margins,
     plus_shift_composition,
+    sst_indices,
     transpose_matrix,
 )
 from weylkit.linalg import SparseMod, kernel_basis_mod, rref_mod
@@ -29,7 +29,6 @@ from weylkit import weyl
 from weylkit.weyl import (
     act_matrix,
     act_matrix_simple,
-    box_relation_vectors,
     build_weight_space,
     gram_data,
     simple_dim,
@@ -41,11 +40,16 @@ from weylkit.weyl import (
 from helpers import to_dense
 
 
+def _relations(mu, alpha, p):
+    """The box relations of one weight slice, from a pass over it alone."""
+    return weyl._box_relations([(mu, alpha)], p)[0]
+
+
 def test_box_relations_column_shape():
     # the column pair (1,1) at weight (2,0): a single relation killing the
     # lone monomial, over every prime
-    monomials, relations = box_relation_vectors((1, 1), (2, 0), 2)
-    assert len(monomials) == 1
+    relations = _relations((1, 1), (2, 0), 2)
+    assert len(enumerate_omega((2, 0), (1, 1))) == 1
     assert relations.shape == (1, 1)
     assert to_dense(relations)[0, 0] % 2 == 1
     for p in (2, 3, 5):
@@ -54,7 +58,7 @@ def test_box_relations_column_shape():
 
 
 def test_box_relations_single_row_empty():
-    _, relations = box_relation_vectors((4,), (4,), 3)
+    relations = _relations((4,), (4,), 3)
     assert relations.shape[0] == 0
 
 
@@ -83,7 +87,7 @@ def _relations_by_right_multiplication(mu, alpha, p):
 
 
 def test_box_relations_are_right_multiplication():
-    # box_relation_vectors builds the same rows without any product: every
+    # _box_relations builds the same rows without any product: every
     # coefficient, row and row position must agree
     cases = [(n, r) for n in (1, 2, 3) for r in range(1, 7)] + [(4, r) for r in range(1, 6)]
     shifted = [((2, 1, 0), (1, 1, 1), 2, 1), ((2, 2, 0), (2, 1, 1), 3, 1),
@@ -93,12 +97,12 @@ def test_box_relations_are_right_multiplication():
         for n, r in cases:
             for mu in enumerate_partitions(n, r):
                 for alpha in enumerate_compositions(n, r):
-                    _, relations = box_relation_vectors(mu, alpha, p)
+                    relations = _relations(mu, alpha, p)
                     assert relations == _relations_by_right_multiplication(mu, alpha, p), (mu, alpha, p)
                     checked += 1
     for mu, alpha, p, d in shifted:
         mu, alpha = plus_shift_composition(mu, d, p), plus_shift_composition(alpha, d, p)
-        _, relations = box_relation_vectors(mu, alpha, p)
+        relations = _relations(mu, alpha, p)
         assert relations == _relations_by_right_multiplication(mu, alpha, p), (mu, alpha, p)
     assert checked > 1000
 
@@ -106,7 +110,7 @@ def test_box_relations_are_right_multiplication():
 def _dense_model(mu, alpha, p):
     """(monomials, relation rank, normal form) from a dense ``rref_mod`` of
     the relation matrix with the non-SST columns first."""
-    monomials, relations = box_relation_vectors(mu, alpha, p)
+    monomials, relations = tuple(enumerate_omega(alpha, mu)), _relations(mu, alpha, p)
     index = {w: i for i, w in enumerate(monomials)}
     sst_cols = [index[t.to_matrix()] for t in enumerate_sst(mu, alpha)]
     others = [c for c in range(len(monomials)) if c not in sst_cols]
@@ -132,6 +136,10 @@ def test_sparse_models_match_dense_reduction():
     ]
     cases.append(((11, 2, 1, 1, 0), (10, 2, 1, 1, 1)))
     for mu, alpha in cases:
+        # the SST filter's positions are those of the tableaux among the monomials
+        omega = enumerate_omega(alpha, mu)
+        positions = [omega.index(t.to_matrix()) for t in enumerate_sst(mu, alpha)]
+        assert sst_indices(mu, alpha).tolist() == positions, (mu, alpha)
         for p in (2, 3, 5):
             model = build_weight_space(mu, alpha, p)
             monomials, rank, normal_form = _dense_model(mu, alpha, p)
@@ -146,11 +154,11 @@ def test_sst_assertion_fires(monkeypatch, change):
     # monomial; with a non-semistandard one added, some relation reduces to
     # a nonzero row on the tableau columns alone
     mu, alpha, p = (3, 2, 1), (2, 2, 2), 3
-    tableaux = enumerate_sst(mu, alpha)
+    tableaux = sst_indices(mu, alpha)
     assert len(tableaux) > 1
-    extra = next(Tableau(w) for w in enumerate_omega(alpha, mu) if Tableau(w) not in tableaux)
-    fake = tableaux[1:] if change == "drop" else tableaux + (extra,)
-    monkeypatch.setattr(weyl, "enumerate_sst", lambda *_: fake)
+    extra = min(set(range(len(enumerate_omega(alpha, mu)))) - set(tableaux.tolist()))
+    fake = tableaux[1:] if change == "drop" else np.append(tableaux, extra)
+    monkeypatch.setattr(weyl, "sst_indices", lambda *_: fake)
     found = "rank" if change == "drop" else "SST columns alone"
     with pytest.raises(AssertionError, match=f"SST basis violated.*{found}"):
         build_weight_space.__wrapped__(mu, alpha, p)
@@ -163,7 +171,7 @@ def test_certificate_catches_a_corrupt_row_the_elimination_never_reaches(monkeyp
     # last in elimination order; one coefficient of it, on an SST column,
     # is changed.
     mu, alpha, p = (3, 2, 1), (2, 2, 2), 3
-    monomials, relations = box_relation_vectors(mu, alpha, p)
+    monomials, relations = enumerate_omega(alpha, mu), _relations(mu, alpha, p)
     index = {w: i for i, w in enumerate(monomials)}
     sst_cols = [index[t.to_matrix()] for t in enumerate_sst(mu, alpha)]
     column = np.full(len(monomials), -1)  # SST columns first, as the build numbers them
@@ -249,8 +257,7 @@ def test_batched_models_match_single_builds():
 
 def test_verify_hom_bound_generates_each_slice_once_and_keeps_no_prefetch(monkeypatch, capsys):
     # over a small verify --theorem 6.1 grid from cold memos, each slice's
-    # relations are generated once, only for a slice that is then built,
-    # and nothing generated ahead outlives its op
+    # relations are generated once, only for a slice that is then built
     from weylkit.cli import main
 
     for memo in (build_weight_space, act_matrix, act_matrix_simple, gram_data):
@@ -272,33 +279,10 @@ def test_verify_hom_bound_generates_each_slice_once_and_keeps_no_prefetch(monkey
                     argv = ["verify", "--theorem", "6.1", "--p", str(p), "--d", "1",
                             "--lambda", ",".join(map(str, lam)), "--mu", ",".join(map(str, mu))]
                     assert main(argv) in (0, 1), argv
-                    assert weyl._PREFETCHED == {}, argv
     capsys.readouterr()
     assert max(generated.values()) == 1
     assert sum(generated.values()) == build_weight_space.cache_info().currsize
     assert max(passes) > 1
-
-
-def test_slice_builds_leave_the_tuple_tables_alone():
-    # a slice is held as its array: building slices, singly or through the
-    # Hom oracle's batches, adds nothing to enumerate_contingency's memo
-    for memo in (build_weight_space, act_matrix):
-        memo.cache_clear()
-    act_matrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)), (3, 1, 0), 3)  # the products' own small tables
-    before = enumerate_contingency.cache_info().currsize
-    build_weight_space.cache_clear()
-    for p in (2, 3):
-        for mu in enumerate_partitions(4, 6):
-            for alpha in enumerate_compositions(4, 6):
-                build_weight_space(mu, alpha, p)
-    for lam in enumerate_partitions(3, 5):
-        weights = [lam] + [lam[:f.i - 1] + (lam[f.i - 1] + f.t, lam[f.i] - f.t) + lam[f.i + 1:]
-                           for f in box_presentation(lam)]
-        for mu in enumerate_partitions(3, 5):
-            weyl.build_weight_spaces([(mu, alpha) for alpha in weights], 5)
-    build_weight_space((11, 2, 1, 1, 0), (10, 2, 1, 1, 1), 3)
-    assert build_weight_space.cache_info().currsize > 1000
-    assert enumerate_contingency.cache_info().currsize == before
 
 
 def test_act_matrix_leaves_the_product_memo_alone():
