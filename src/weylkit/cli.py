@@ -93,7 +93,7 @@ def _cache_dir(args) -> Path | None:
     return Path(raw) if raw else None
 
 
-def _cache_load(cache: Path | None, key: dict) -> dict | None:
+def _cache_load(cache: Path | None, key: dict, fields: tuple[str, ...]) -> dict | None:
     if cache is None:
         return None
     path = cache / f"{_key_hash(key)}.json"
@@ -105,9 +105,9 @@ def _cache_load(cache: Path | None, key: dict) -> dict | None:
         problem = exc
     else:
         result = record.get("result") if isinstance(record, dict) else None
-        if isinstance(result, dict) and result.get("key") == key:
+        if isinstance(result, dict) and result.get("key") == key and result.keys() >= set(fields):
             return record
-        problem = "not a record of this key"
+        problem = "not a record of this key with the fields " + ", ".join(fields)
     print(f"warning: ignoring unreadable cache record {path}: {problem}", file=sys.stderr)
     return None
 
@@ -140,14 +140,15 @@ def _record(key: dict, result_fields: dict, started: float) -> dict:
     return {"result": result, "wall_time_ms": int((time.monotonic() - started) * 1000)}
 
 
-def _run_cached(args, key: dict, compute) -> dict:
+def _run_cached(args, key: dict, fields: tuple[str, ...], compute) -> dict:
     """Fetch a record from the cache or compute and store it.
 
     With --recheck a cached record is additionally recomputed and the two
-    result payloads must match exactly.
+    result payloads must match exactly.  A stored record counts only when
+    its ``result`` carries ``key`` and the ``fields`` the command reads.
     """
     cache = _cache_dir(args)
-    cached = _cache_load(cache, key)
+    cached = _cache_load(cache, key, fields)
     if cached is not None and not args.recheck:
         return cached
     started = time.monotonic()
@@ -186,7 +187,7 @@ def cmd_ext(args) -> int:
         euler = sum((-1) ** i * d for i, d in enumerate(dims))
         return {"ext_dims": dims, "euler": euler, "euler_consistent": consistent}
 
-    record = _run_cached(args, key, compute)
+    record = _run_cached(args, key, ("ext_dims", "euler", "euler_consistent"), compute)
     if args.format == "table":
         lines = [f"Ext^{i}(Weyl{list(lam)}, {args.target}{list(mu)}) = {d}"
                  for i, d in enumerate(record["result"]["ext_dims"])]
@@ -230,7 +231,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown theorem selector {args.theorem!r}")
         return {"report": report, "verdict": report["verdict"]}
 
-    record = _run_cached(args, key, compute)
+    record = _run_cached(args, key, ("report", "verdict"), compute)
     report = record["result"]["report"]
     if args.format == "table":
         lines = [f"theorem {args.theorem}: verdict {report['verdict']}"]
@@ -289,7 +290,7 @@ def cmd_survey(args) -> int:
 
             started = time.monotonic()
             try:
-                record = _run_cached(args, key, compute)
+                record = _run_cached(args, key, ("ext_dims", "labels"), compute)
             except ResourceLimitError:
                 handled = "skipped: cap"  # skip only this pair
             else:

@@ -52,7 +52,6 @@ from .shapes import (
     contingency_array,
     decode_matrices,
     enumerate_compositions,
-    enumerate_sst,
     kostka,
     margin1,
     margin2,
@@ -356,12 +355,12 @@ def _build_weight_spaces(slices: list[tuple[Composition, Composition]], p: int) 
     for (mu, alpha), relations in zip(slices, _box_relations(slices, p)):
         array = contingency_array(alpha, mu)
         keys = _monomial_keys(array, sum(mu))
-        sst_cols = sst_indices(mu, alpha).tolist()
-        normal_form = _normal_form(relations, sst_cols, p, f"mu={mu}, alpha={alpha}, p={p}")
+        positions = sst_indices(mu, alpha)
+        normal_form = _normal_form(relations, positions.tolist(), p, f"mu={mu}, alpha={alpha}, p={p}")
         for arr in (keys, normal_form):
             arr.flags.writeable = False
-        sst = enumerate_sst(mu, alpha)
-        models.append(WeightSpaceModel(mu, alpha, p, array, keys, sst, len(array) - len(sst_cols), normal_form))
+        sst = tuple(map(Tableau, decode_matrices(array[positions])))
+        models.append(WeightSpaceModel(mu, alpha, p, array, keys, sst, len(array) - len(sst), normal_form))
     return models
 
 

@@ -663,10 +663,11 @@ def test_straighten_records_pinned(capsys, argv, expected):
     assert out == expected
 
 
-@pytest.mark.parametrize("damage", ["truncated", "empty-object", "list", "null", "other-pair"])
+@pytest.mark.parametrize("damage", ["truncated", "empty-object", "list", "null", "other-pair", "key-only"])
 def test_truncated_cache_record_is_recomputed(tmp_path, capsys, damage):
     # a record that does not decode, or decodes to anything but a record of
-    # the requested key, is warned about once, recomputed and replaced
+    # the requested key with the fields ext reads, is warned about once,
+    # recomputed and replaced
     args = ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--cache-dir", str(tmp_path))
     code, out1, _ = run(capsys, *args)
     assert code == 0
@@ -677,6 +678,8 @@ def test_truncated_cache_record_is_recomputed(tmp_path, capsys, damage):
         run(capsys, "ext", "--p", "2", "--lambda", "1,1", "--mu", "2", "--cache-dir", str(other))
         (other_path,) = other.glob("*.json")
         path.write_text(other_path.read_text())
+    elif damage == "key-only":
+        path.write_text(json.dumps({"result": {"key": json.loads(good)["result"]["key"]}}))
     else:
         damaged = {"truncated": good[: len(good) // 2], "empty-object": "{}", "list": "[1, 2]", "null": "null"}
         path.write_text(damaged[damage])
