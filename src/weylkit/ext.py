@@ -6,6 +6,7 @@ Applying Hom(-, M) to a cyclic projective summand indexed by a weight alpha
 collapses it to the weight-alpha slice of M, so every differential is a
 small exact matrix over F_p assembled from action matrices (compose arrows)
 and scalars (merge arrows).  M is either a Weyl module or its simple head.
+A build reads each action block from the memo of ``weyl``, which holds it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .shapes import (
     Composition,
     Matrix,
     chain_space,
+    contingency_array,
     dominates,
-    enumerate_sst,
     expand_ranges,
     kostka,
     linked,
@@ -40,7 +41,7 @@ from .shapes import (
     plus_shift_matrix,
     validate_partition,
 )
-from .weyl import act_matrix, act_matrix_simple, build_weight_spaces, gram_data
+from .weyl import act_matrix, act_matrix_simple, build_weight_space, build_weight_spaces, gram_data
 
 MAX_BASIS_DEFAULT = 200_000
 MAX_R_DEFAULT = 20
@@ -49,6 +50,12 @@ MAX_R_DEFAULT = 20
 # length at most r(r - 1)/2, which is 190 at r = MAX_R_DEFAULT.  Degrees past
 # the length only add zeros to ext_dims.
 MAX_DEGREE = 100_000
+# Most box-relation generator entries one Hom oracle call builds, over all
+# the slices it requests.  A build peaks at about 165 bytes per entry over
+# an idle run's 34 MB (verify 6.1 of (4,4,4,4) at p=3 reads 2.79 million on
+# its shifted side and peaks at 488 MB), so a call the cap admits stays
+# near 0.7 GB.
+MAX_RELATION_ENTRIES = 4_000_000
 
 
 class ResourceLimitError(RuntimeError):
@@ -78,18 +85,6 @@ def _weight_dim(mu: Composition, alpha: Composition, p: int, target: str) -> int
             return 0
         return gram_data(mu, alpha, p).simple_dim
     raise ValueError(f"unknown target {target!r}")
-
-
-def _act(w, mu: Composition, p: int, target: str) -> np.ndarray:
-    return act_matrix(w, mu, p) if target == "weyl" else act_matrix_simple(w, mu, p)
-
-
-@lru_cache(maxsize=None)
-def _act_entries(w, mu: Composition, p: int, target: str):
-    """The nonzero (rows, cols, vals) of ``_act(w, mu, p, target)``."""
-    block = _act(w, mu, p, target)
-    r, c = np.nonzero(block)
-    return r, c, block[r, c]
 
 
 @dataclass(eq=False)
@@ -205,13 +200,15 @@ def _assemble(top_dims, summand_tops, starts, arrows, steps, mu: Composition, p:
     summands = [width[a:b].nonzero()[0] for a, b in zip(starts, starts[1:])]
     live = (width[rows] * width[cols]).nonzero()[0]
     if live.size:
-        # the nonzero (rows, cols, vals) of each block in use, before its
-        # scalar: the action matrix of a step, or the identity on a slice
+        # the nonzero (rows, cols, vals) of each block in use, before its scalar:
+        # a step's action matrix, held in weyl's memo, or the identity on a slice
         used, slot = np.unique(keys[live], return_inverse=True)
+        act = act_matrix if target == "weyl" else act_matrix_simple
         blocks = []
         for key in used.tolist():
             if key < len(steps):
-                blocks.append(_act_entries(steps[key], mu, p, target))
+                block = act(steps[key], mu, p)
+                blocks.append((*block.nonzero(), block[block != 0]))
             else:
                 diagonal = np.arange(top_dims[key - len(steps)])
                 blocks.append((diagonal, diagonal, np.ones_like(diagonal)))
@@ -348,7 +345,9 @@ def hom_dim_oracle(lam, mu, p: int) -> int:
 
     The family (i, t) acts from the weight-lam slice to the weight
     lam + t alpha_i one.  Those slices are read only when the weight-lam
-    slice is nonzero, and then all of them are built together."""
+    slice is nonzero, and then all of them are built together.  Raises
+    ResourceLimitError first if their relations have more than
+    ``MAX_RELATION_ENTRIES`` generator entries, built or not."""
     lam, mu = _check_pair(lam, mu)
     check_prime(p)
     n = len(lam)
@@ -360,6 +359,16 @@ def hom_dim_oracle(lam, mu, p: int) -> int:
         rho[i0 + 1][i0 + 1] -= family.t
         rhos.append(tuple(map(tuple, rho)))
     weights = [lam] + [margin2(rho) for rho in rhos] if kostka(mu, lam) else [lam]
+    # a generator entry is a monomial w, a row pair i and a nonzero vector
+    # v <= column i+1 of w, as ``weyl._box_relations`` lists them
+    entries = 0
+    for weight in dict.fromkeys(weights):
+        columns = contingency_array(weight, mu)[:, :, 1:].astype(np.int64)
+        entries += int(((columns + 1).prod(axis=1) - 1).sum())
+    if entries > MAX_RELATION_ENTRIES:
+        raise ResourceLimitError(
+            f"the Hom oracle needs {entries} relation entries, exceeding the cap {MAX_RELATION_ENTRIES}"
+        )
     model = build_weight_spaces([(mu, weight) for weight in weights], p)[0]
     if model.dim == 0:
         return 0
@@ -510,14 +519,15 @@ def verify_hom_bound(lam, mu, p: int, d: int) -> dict:
 def _basis_elements(complex_: HomComplex, k: int) -> list[tuple[tuple, tuple]]:
     """Flat degree-k basis of a Weyl-target chain complex as (chain,
     tableau counts) pairs, in basis order: each summand's slice has the
-    semistandard tableaux of its top as basis."""
+    semistandard tableaux of its top as basis, read off the slice's model."""
     space = chain_space(complex_.lam)
     chains = space.layer(k)[0]
     starts = space.starts[k].tolist()  # a chain's top is the block it falls in
+    mu, p = complex_.mu, complex_.p
     return [
         (tuple(map(space.steps.__getitem__, chains[index].tolist())), t.counts)
         for index in complex_.summands[k].tolist()
-        for t in enumerate_sst(complex_.mu, space.tops[bisect_right(starts, index) - 1])
+        for t in build_weight_space(mu, space.tops[bisect_right(starts, index) - 1], p).sst
     ]
 
 

@@ -20,9 +20,10 @@ Conventions used throughout the package:
 Matrices with prescribed margins, which index the divided monomials of a
 weight slice, are enumerated in bulk with numpy, a row at a time for all
 partial matrices at once, and memoised as that array only: the tuple views
-(``enumerate_omega``, ``enumerate_theta``) decode it on each call.  The
-semistandard tableaux are the count matrices among them that pass one
-vectorised column-strictness test, ``sst_indices``.
+(``enumerate_omega``, ``enumerate_theta``, ``enumerate_sst``) decode it on
+each call.  The semistandard tableaux are the count matrices among them
+that pass one vectorised column-strictness test, ``sst_indices``, and
+``kostka`` counts those positions without decoding a tableau.
 """
 
 from __future__ import annotations
@@ -426,20 +427,26 @@ def sst_indices(mu: Composition, alpha: Composition) -> np.ndarray:
     return keep.nonzero()[0]
 
 
-@lru_cache(maxsize=None)
-def enumerate_sst(mu: Composition, alpha: Composition) -> tuple[Tableau, ...]:
-    """Semistandard tableaux of shape mu and weight alpha, the rows of
-    ``contingency_array(alpha, mu)`` at ``sst_indices(mu, alpha)``."""
+def _check_weight(mu, alpha) -> tuple[Composition, Composition]:
+    """(mu, alpha) as tuples, alpha a weight of the partition mu's length and total."""
     mu = validate_partition(mu)
     alpha = validate_composition(alpha)
     if len(alpha) != len(mu) or sum(alpha) != sum(mu):
         raise ValueError(f"weight {alpha} incompatible with shape {mu}")
+    return mu, alpha
+
+
+def enumerate_sst(mu, alpha) -> tuple[Tableau, ...]:
+    """Semistandard tableaux of shape mu and weight alpha, the rows of
+    ``contingency_array(alpha, mu)`` at ``sst_indices(mu, alpha)``, decoded
+    on each call."""
+    mu, alpha = _check_weight(mu, alpha)
     return tuple(map(Tableau, decode_matrices(contingency_array(alpha, mu)[sst_indices(mu, alpha)])))
 
 
 def kostka(mu, alpha) -> int:
     """Number of semistandard tableaux of shape mu and weight alpha."""
-    return len(enumerate_sst(tuple(mu), tuple(alpha)))
+    return len(sst_indices(*_check_weight(mu, alpha)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from .shapes import (
     Composition,
     Matrix,
     Tableau,
+    _check_weight,
     _compositions_bounded,
     contingency_array,
     decode_matrices,
@@ -57,7 +58,6 @@ from .shapes import (
     margin2,
     sst_indices,
     transpose_matrix,
-    validate_composition,
     validate_matrix,
     validate_partition,
 )
@@ -158,8 +158,7 @@ def _sub_vectors(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_slice(mu, alpha, p: int) -> tuple[Composition, Composition]:
     check_prime(p)
-    mu = validate_partition(mu)
-    return mu, validate_composition(alpha, n=len(mu), r=sum(mu))
+    return _check_weight(mu, alpha)
 
 
 def _box_relations(slices: list[tuple[Composition, Composition]], p: int) -> list[SparseMod]:

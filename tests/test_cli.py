@@ -436,6 +436,15 @@ def test_shifted_part_past_int64_is_not_internal_error(capsys, deadline, theorem
     assert (got, out, err) == (code, "", message)
 
 
+def test_hom_bound_past_the_relation_entry_cap(capsys, deadline):
+    # (5,5,5,5) needs 13.2 million box-relation entries; before the cap it
+    # ran out of memory, or was killed on a host that overcommits
+    code, out, err = run(capsys, "verify", "--theorem", "6.1", "--p", "2", "--d", "1",
+                         "--lambda", "5,5,5,5", "--mu", "5,5,5,5")
+    assert code == 3 and out == ""
+    assert err.startswith("resource cap:")
+
+
 # (4,3,2,1) -> (10) at p = 3 is a heavy linked pair of the r = 10, n = 4
 # survey (145792 chains); each target took about 8 s while every
 # differential was ranked alone, and takes about 1 s ranked in one sweep

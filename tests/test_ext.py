@@ -21,10 +21,11 @@ from weylkit.ext import (
     verify_periodicity,
 )
 from weylkit.linalg import SparseMod
-from weylkit.resolutions import chain_arrows, sy_arrows, sy_degree
+from weylkit.resolutions import chain_arrows, is_hook, sy_arrows, sy_degree
 from weylkit.shapes import (
     ChainSpace,
     chain_space,
+    contingency_array,
     dominates,
     enumerate_partitions,
     enumerate_sst,
@@ -32,7 +33,9 @@ from weylkit.shapes import (
     matrix_margins,
     pad,
     plus_shift_composition,
+    transpose_matrix,
 )
+from weylkit.weyl import _sub_vectors, act_matrix, act_matrix_simple
 
 from helpers import to_dense
 
@@ -78,6 +81,31 @@ def test_hom_oracle_reported_dimensions():
     assert hom_dim_oracle((11, 3), (14, 0), 3) == 0
     assert hom_dim_oracle((1, 1, 1, 1), (2, 2, 0, 0), 3) == 1
     assert hom_dim_oracle((4, 1, 1, 1), (5, 2, 0, 0), 3) == 0
+
+
+def test_hom_oracle_caps_the_relation_entries_of_every_slice(monkeypatch):
+    # one entry per monomial, row pair and nonzero vector of boxes moved back
+    # out of the next column, as _box_relations lists them, summed over every
+    # slice the oracle asks for, whether an earlier call built it or not
+    requested = []
+    build, cap = weylkit.ext.build_weight_spaces, weylkit.ext.MAX_RELATION_ENTRIES
+    monkeypatch.setattr(weylkit.ext, "build_weight_spaces",
+                        lambda slices, p: requested.extend(slices) or build(slices, p))
+    for lam, mu, p in [((2, 1, 1), (3, 1, 0), 2), ((3, 2, 0), (4, 1, 0), 3),
+                       ((1, 1, 1, 1), (2, 2, 0, 0), 3)]:
+        requested.clear()
+        monkeypatch.setattr(weylkit.ext, "MAX_RELATION_ENTRIES", cap)
+        dim = hom_dim_oracle(lam, mu, p)
+        entries = 0
+        for shape, alpha in dict.fromkeys(requested):
+            columns = contingency_array(alpha, shape)[:, :, 1:].transpose(0, 2, 1)
+            entries += len(_sub_vectors(columns.reshape(-1, len(shape)))[0])
+        assert len(requested) > 1 and entries > 0
+        monkeypatch.setattr(weylkit.ext, "MAX_RELATION_ENTRIES", entries)
+        assert hom_dim_oracle(lam, mu, p) == dim
+        monkeypatch.setattr(weylkit.ext, "MAX_RELATION_ENTRIES", entries - 1)
+        with pytest.raises(ResourceLimitError, match=f"needs {entries} relation entries"):
+            hom_dim_oracle(lam, mu, p)
 
 
 def test_semisimple_regime():
@@ -548,7 +576,7 @@ def _diffs_from_sy_arrows(lam, mu, p, target, degrees):
     chain at a time from ``sy_degree`` and ``sy_arrows``: summands with a
     zero-dimensional slice dropped, blocks the action matrix of the arrow's
     step or the identity, entries summed mod p."""
-    act = weylkit.ext._act
+    act = act_matrix if target == "weyl" else act_matrix_simple
     offsets, dims = [], []
     for k in range(degrees):
         place, offset = {}, 0
@@ -566,7 +594,7 @@ def _diffs_from_sy_arrows(lam, mu, p, target, degrees):
             for to, step, scalar in sy_arrows(chain, p):
                 if to not in offsets[k]:
                     continue
-                block = np.eye(d, dtype=np.int64) if step is None else act(step, mu, p, target)
+                block = np.eye(d, dtype=np.int64) if step is None else act(step, mu, p)
                 r, c = np.nonzero(block)
                 rows.append(r + row_off)
                 cols.append(c + offsets[k][to][0])
@@ -646,15 +674,16 @@ def test_prefix_counts_index_the_chains():
 
 
 def test_action_blocks_only_for_arrows_between_nonzero_slices(monkeypatch):
-    act = weylkit.ext._act
     requested = []
 
-    def recording_act(w, mu, p, target):
-        requested.append((w, mu, p, target))
-        return act(w, mu, p, target)
+    def recording(act, target):
+        def call(w, mu, p):
+            requested.append((w, mu, p, target))
+            return act(w, mu, p)
+        return call
 
-    weylkit.ext._act_entries.cache_clear()
-    monkeypatch.setattr(weylkit.ext, "_act", recording_act)
+    monkeypatch.setattr(weylkit.ext, "act_matrix", recording(act_matrix, "weyl"))
+    monkeypatch.setattr(weylkit.ext, "act_matrix_simple", recording(act_matrix_simple, "simple"))
     cases = [((2, 2, 1), (4, 1, 0), 2), ((3, 2, 1), (5, 1, 0), 3), ((2, 1, 1), (4, 0, 0), 3)]
     for lam, mu, p in cases:
         for target in ("weyl", "simple"):
@@ -664,4 +693,31 @@ def test_action_blocks_only_for_arrows_between_nonzero_slices(monkeypatch):
         rows, cols = matrix_margins(w)[::-1]
         assert weylkit.ext._weight_dim(mu, rows, p, target) > 0
         assert weylkit.ext._weight_dim(mu, cols, p, target) > 0
-    weylkit.ext._act_entries.cache_clear()
+
+
+def test_ext_into_the_dual_weyl_module_is_delta(monkeypatch):
+    # Ext^i(Weyl(lam), dual Weyl(mu)) is F_p when i = 0 and lam = mu, and 0
+    # otherwise (Jantzen, Representations of Algebraic Groups, II.4.13).  The
+    # dual Weyl module is the contravariant dual of Weyl(mu) through the
+    # transpose anti-automorphism: it has the same weight slices, and xi_w
+    # acts on it as the transpose of xi_{w^T} on Weyl(mu).  A corrupted
+    # differential tends to have maximal rank, which gives delta as well, so
+    # d^2 = 0 is checked beside it.
+    monkeypatch.setattr(weylkit.ext, "act_matrix",
+                        lambda w, mu, p: act_matrix(transpose_matrix(w), mu, p).T)
+    chain = hook = 0
+    for n, top in ((2, 8), (3, 7), (4, 5)):
+        for r in range(1, top + 1):
+            for lam, mu in _dominated_pairs(n, r):
+                for p in (2, 3, 5):
+                    hc = build_hom_complex(lam, mu, p)
+                    assert hc.ext_dims() == [int(lam == mu)] + [0] * hc.report_degree, (lam, mu, p)
+                    assert hc.check_dsquare(), (lam, mu, p)
+                    chain += 1
+                    if is_hook(lam):
+                        b = sum(x > 0 for x in lam[1:])
+                        hc = build_hook_hom_complex(lam[0], b, mu, p)
+                        assert hc.ext_dims() == [int(lam == mu)] + [0] * b, (lam, mu, p)
+                        assert hc.check_dsquare(), (lam, mu, p)
+                        hook += 1
+    assert (chain, hook) == (591, 285)

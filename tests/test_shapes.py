@@ -355,6 +355,24 @@ def test_sst_are_semistandard_and_sorted():
                     assert t.shape == mu and t.weight == alpha
                 filtered = [Tableau(w) for w in enumerate_omega(alpha, mu)]
                 assert list(tabs) == [t for t in filtered if t.is_semistandard()]
+                assert kostka(mu, alpha) == len(tabs)
+    assert kostka([3, 2, 1], [2, 2, 2]) == len(enumerate_sst([3, 2, 1], [2, 2, 2])) == 2
+
+
+def test_kostka_counts_without_decoding(monkeypatch):
+    for mu, alpha in [((2, 1), (1, 2, 0)), ((3, 1, 1), (1, 2)), ((2, 1, 0), (1, 1, 0)), ((1, 2), (2, 1))]:
+        with pytest.raises(ValueError):
+            kostka(mu, alpha)
+
+    def refuse(array):
+        raise AssertionError("kostka decoded a tableau")
+
+    pairs = [(mu, alpha) for mu in enumerate_partitions(5, 7) for alpha in [(2, 1, 1, 2, 1), (1, 1, 1, 1, 3)]]
+    monkeypatch.setattr(weylkit.shapes, "decode_matrices", refuse)
+    counts = [kostka(mu, alpha) for mu, alpha in pairs]
+    monkeypatch.undo()
+    assert counts == [len(enumerate_sst(mu, alpha)) for mu, alpha in pairs]
+    assert sum(counts) > 0
 
 
 def test_kostka_symmetry_under_weight_permutation():
