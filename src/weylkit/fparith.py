@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 MAX_PRIME = 1 << 16
 
 
@@ -81,6 +83,34 @@ class BinomTable(dict):
 def binom_table(p: int) -> BinomTable:
     """The binomial table mod p shared by every caller."""
     return BinomTable(p)
+
+
+def binom_array(a, b, p: int) -> np.ndarray:
+    """C(a, b) mod p elementwise over two integer arrays of one shape, as
+    int64, for nonnegative entries.
+
+    Only the distinct (a, b) pairs are read from ``binom_table(p)``.  The
+    pairs are numbered a * (max b + 1) + b and gathered through a table of
+    that range, written only where a pair occurs, while the range is within
+    a few times the input's size; beyond it (a shifted entry reaches p^d)
+    one ``np.unique`` numbers them, so no table is quadratic in p^d.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    table = binom_table(p)
+    width = int(b.max(initial=0)) + 1
+    span = (int(a.max(initial=0)) + 1) * width
+    if span <= 4 * a.size + 64:
+        key = np.multiply(a, width, dtype=np.int64)
+        key += b
+        values = np.zeros(span, dtype=np.int64)
+        seen = np.zeros(span, dtype=bool)
+        seen[key] = True
+        distinct = np.flatnonzero(seen)
+        values[distinct] = [table[divmod(k, width)] for k in distinct.tolist()]
+        return values[key]
+    pairs, inverse = np.unique(np.stack((a.ravel(), b.ravel()), axis=1), axis=0, return_inverse=True)
+    values = np.array([table[x, y] for x, y in pairs.tolist()], dtype=np.int64)
+    return values[inverse.ravel()].reshape(a.shape)
 
 
 def multinom_mod(a: int, parts, p: int) -> int:

@@ -27,12 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .fparith import check_prime
-from .schur import xi_product_terms
+from .schur import _xi_products, xi_product_terms
 from .shapes import (
     ChainSpace,
     Composition,
     Matrix,
     chain_space,
+    decode_matrices,
     enumerate_compositions,
     expand_ranges,
     is_partition,
@@ -82,24 +83,40 @@ def _merge_table(space: ChainSpace, p: int, degrees: int):
     """(pair_start, indptr, merged, coeffs): the products of the pairs of
     steps that meet in a chain of degree < ``degrees``, a step a and a step
     b out of the weight a reaches.  Pair ``pair_start[a] + b - first[target
-    of a]`` has ``xi_product_terms(a, b, p)`` as merged step ids and
-    coefficients in ``merged[indptr[i]:indptr[i+1]]`` and ``coeffs[...]``.
+    of a]`` has the terms of xi_a . xi_b, in the order of
+    ``xi_product_terms``, as merged step ids and coefficients in
+    ``merged[indptr[i]:indptr[i+1]]`` and ``coeffs[...]``.
+
     Only the pairs whose second step reaches a weight with a chain of length
     <= degrees - 3 down to lam are multiplied; the others meet in no such
-    chain and are left without products."""
-    # per step a, the number of steps b that can follow it
+    chain and are left without products.  All of them are multiplied in one
+    call of the batched dynamic program ``schur._xi_products``, and one
+    search maps the merged matrices to step ids.
+    """
+    n = len(space.lam)
+    steps = np.array(space.steps, dtype=np.int64).reshape(-1, n, n)
+    # per step a, the number of steps b that can follow it, and the pairs
     followers = np.diff(space.first)[space.step_target]
     pair_start = np.cumsum(followers) - followers
-    reaches = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target].tolist()
-    sizes, merged, coeffs = [], [], []
-    for w, t in zip(space.steps, space.step_target.tolist()):
-        for b in range(space.first[t], space.first[t + 1]):
-            terms = xi_product_terms(w, space.steps[b], p) if reaches[b] else ()
-            sizes.append(len(terms))
-            merged.extend(space.step_index[m] for m, _ in terms)
-            coeffs.extend(c for _, c in terms)
-    indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-    return pair_start, indptr, np.array(merged, dtype=np.int64), np.array(coeffs, dtype=np.int64)
+    a = np.repeat(np.arange(len(steps)), followers)
+    b = expand_ranges(space.first[space.step_target], followers)
+    reaches = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target]
+    live = np.flatnonzero(reaches[b])
+    starts, terms, coeffs = _xi_products(steps[a[live]], steps[b[live]], p)
+    sizes = np.zeros(len(a), dtype=np.int64)
+    sizes[live] = np.diff(starts)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    # every merged matrix is a step out of a's weight: search them among
+    # the steps as raw bytes, and raise on one that is no step
+    row = np.dtype((np.void, steps.itemsize * n * n))
+    keys = steps.reshape(len(steps), n * n).view(row).ravel()
+    order = np.argsort(keys)
+    wanted = terms.reshape(len(terms), n * n).view(row).ravel()
+    merged = order.take(np.searchsorted(keys[order], wanted), mode="clip")
+    hit = (steps[merged] == terms).all(axis=(1, 2))
+    if not hit.all():
+        raise KeyError(f"{decode_matrices(terms[~hit][:1])[0]} is not a step of the chains of {space.lam}")
+    return pair_start, indptr, merged, coeffs
 
 
 def _degree_arrows(space: ChainSpace, k: int, p: int, pair_start, indptr, merged,
@@ -148,6 +165,11 @@ def chain_arrows(lam: Composition, p: int, degrees: int) -> tuple[np.ndarray, ..
     chain one degree lower, and the key names the block, step s for the
     compose arrow with that step and ``len(space.steps) + t`` for the
     identity on top t, which every merge arrow carries.
+
+    The merge arrows' matrices and scalars come from one merge table
+    (``_merge_table``), every product of two steps that meet in a chain of
+    these degrees made in one batched call, and each degree's arrows are
+    gathered from it by array indexing.
     """
     check_prime(p)
     space = chain_space(validate_partition(lam))

@@ -22,22 +22,33 @@ pi, a row of ``shapes.contingency_array`` read flat; it moves S to S + X
 and multiplies the coefficient by the binomials of that step.  Tensors
 that reach the same partial sum are merged by adding their coefficients
 mod p, and the final S is the term's matrix theta^2.
-``enumerate_theta`` and ``structure_constant_int`` compute the same sum
-tensor by tensor, as the reference.
-"""
 
+The program runs in two forms.  ``_xi_products`` runs it for a whole batch
+of pairs at once in numpy, states as rows of (pair, S) merged by one sort
+per step; the merge tables of ``resolutions`` make every product of one
+chain space in one call.  ``_xi_states`` runs it for one pair in Python
+dicts.  It is the reference the batched form is tested against, and the
+path of the small calls (``weyl.act_matrix`` and ``xi_product_terms``),
+where numpy's fixed cost per call would outweigh the work.
+``enumerate_theta`` and ``structure_constant_int`` compute the same sum
+tensor by tensor, as the reference for both.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 from operator import add
 
-from .fparith import binom_table, check_prime, multinom_mod
+import numpy as np
+
+from .fparith import binom_array, binom_table, check_prime, multinom_mod
 from .shapes import (
     Matrix,
     contingency_array,
     diagonal_matrix,
     enumerate_compositions,
+    expand_ranges,
     margin1,
     margin2,
     matrix_total,
@@ -83,15 +94,100 @@ def _xi_states(w: Matrix, pi: Matrix, p: int) -> dict[tuple[int, ...], int]:
     return states
 
 
+def _sorted_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, first) for a 2-D integer array: ``order`` sorts its rows in
+    ascending lex order, and ``first`` holds the positions in that order
+    where a new row begins.
+
+    The rows are numbered in the mixed radix of their columns' ranges and
+    sorted by that one int64 key while it fits, and sorted as rows
+    (``np.lexsort``) past it.
+    """
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    low = rows.min(axis=0)
+    radix = (rows.max(axis=0) - low + 1).tolist()
+    if prod(radix) < 2**63:
+        key = (rows - low) @ np.array([prod(radix[j + 1 :]) for j in range(len(radix))], dtype=np.int64)
+        order = np.argsort(key)
+        changed = key[order[1:]] != key[order[:-1]]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        changed = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+    return order, np.flatnonzero(np.concatenate(([True], changed)))
+
+
+def _xi_products(ws, pis, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xi_{ws[i]} . xi_{pis[i]} for every i of two (k, n, n) integer arrays
+    at once, as (indptr, terms, coeffs): pair i has the (m, n, n) matrices
+    ``terms[indptr[i]:indptr[i+1]]`` with ``coeffs[indptr[i]:indptr[i+1]]``,
+    zeros dropped, in the descending-lex order of ``xi_product_terms``.  A
+    pair whose margins disagree has no terms.
+
+    This is the dynamic program of ``_xi_states`` run for all pairs
+    together, with a state as a row: its pair and its flattened partial sum
+    S.  At step t each state is crossed with the options of its pair, the
+    contingency matrices with row sums column t of w and column sums row t
+    of pi, fetched once per distinct margin pair.  One sort then merges
+    equal states.  S has fixed margins per pair and step, so its block
+    without the last row and column fixes it, and lex order on S is lex
+    order on that block (as for ``weyl._key_digits``): the states are
+    sorted as the rows (pair, -block), which leaves each pair's terms in
+    descending-lex order.
+    """
+    ws = np.asarray(ws, dtype=np.int64)
+    pis = np.asarray(pis, dtype=np.int64)
+    k, n = len(ws), ws.shape[-1]
+    live = np.flatnonzero((ws.sum(axis=1) == pis.sum(axis=2)).all(axis=1))
+    # the options' margins, row sums then column sums, of every step and
+    # pair: one group per distinct margin row, one options list per group
+    margins = np.concatenate((ws[live].transpose(2, 0, 1), pis[live].transpose(1, 0, 2)), axis=2)
+    order, first = _sorted_groups(margins.reshape(-1, 2 * n))
+    options = [contingency_array(tuple(m[:n]), tuple(m[n:])).reshape(-1, n * n)
+               for m in margins.reshape(-1, 2 * n)[order[first]].tolist()]
+    sizes = np.array([len(x) for x in options], dtype=np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    options = np.concatenate([np.zeros((0, n * n), dtype=np.int64), *options], dtype=np.int64)
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.repeat(np.arange(len(first)), np.diff(np.append(first, len(order))))
+    group = group.reshape(n, len(live))
+    # the states: the index in ``live`` of their pair, S, and the coefficient
+    slot = np.arange(len(live))
+    states = np.zeros((len(live), n * n), dtype=np.int64)
+    coeffs = np.ones(len(live), dtype=np.int64)
+    block = np.arange(n * n).reshape(n, n)[:-1, :-1].ravel()
+    for t in range(n):
+        counts = sizes[group[t, slot]]
+        source = np.repeat(np.arange(len(slot)), counts)
+        x = options[expand_ranges(offsets[group[t, slot]], counts)]
+        slot, states, coeffs = slot[source], states[source] + x, coeffs[source]
+        if not t:
+            continue  # C(X, X) = 1, and one pair's options are distinct states
+        # C(S'[s][q], X[s][q]), which is 1 where X is 0
+        factors = np.ones(x.shape, dtype=np.int64)
+        nonzero = x != 0
+        factors[nonzero] = binom_array(states[nonzero], x[nonzero], p)
+        for j in np.flatnonzero(nonzero.any(axis=0)).tolist():
+            coeffs = coeffs * factors[:, j] % p
+        slot, states, coeffs = slot[coeffs != 0], states[coeffs != 0], coeffs[coeffs != 0]
+        order, first = _sorted_groups(np.concatenate((slot[:, None], -states[:, block]), axis=1))
+        coeffs = np.add.reduceat(coeffs[order], first) % p
+        kept = order[first[coeffs != 0]]
+        slot, states, coeffs = slot[kept], states[kept], coeffs[coeffs != 0]
+    indptr = np.searchsorted(live[slot], np.arange(k + 1))
+    return indptr, states.reshape(-1, n, n), coeffs
+
+
 @lru_cache(maxsize=None)
 def xi_product_terms(w: Matrix, pi: Matrix, p: int) -> tuple[tuple[Matrix, int], ...]:
     """Sparse terms of xi_w . xi_pi as ((matrix, coefficient), ...), zeros dropped.
 
-    Memoised for its readers in ``resolutions`` (the merge tables of the
-    chain arrows, and ``sy_arrows``), ``xi_product`` and
-    ``element_product``: the merge tables of the chain spaces of different
-    weights share some of their products.  ``weyl.act_matrix``,
-    whose products seldom repeat, reads the unmemoised ``_xi_states``.
+    Memoised for ``xi_product``, ``element_product`` and
+    ``resolutions.sy_arrows``, which spells out the chain arrows one chain
+    at a time and meets each product of steps in many chains.  The merge
+    tables of the numbered chain arrows use the batched ``_xi_products``
+    instead, and ``weyl.act_matrix``, whose products seldom repeat, reads
+    the unmemoised ``_xi_states``.
     """
     n = len(w)
     states = _xi_states(w, pi, p)

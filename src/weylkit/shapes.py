@@ -503,7 +503,6 @@ class ChainSpace:
             tables.append(table[(table.sum(axis=1).cumsum(axis=1) >= floor).all(axis=1)])
         table = np.concatenate(tables)
         self.steps: list[Matrix] = [tuple(map(tuple, w)) for w in table.tolist()]
-        self.step_index = {w: s for s, w in enumerate(self.steps)}
         self.first = np.concatenate(([0], np.cumsum([len(t) for t in tables])))
         targets = map(tuple, table.sum(axis=1).tolist())
         self.step_target = np.array([self.top_index[b] for b in targets], dtype=np.int64)

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fparith import binom_mod, binom_table, check_prime
+from .fparith import binom_array, binom_mod, check_prime
 from .linalg import SparseMod, _pivots, rref_mod
 from .schur import _xi_states
 from .shapes import (
@@ -193,9 +193,8 @@ def _box_relations(slices: list[tuple[Composition, Composition]], p: int) -> lis
     owner, moved = _sub_vectors(col_next)
     w, i = np.divmod(owner, n - 1)
     # column i+1 of w holds at most mu[1] boxes
-    binom, top = binom_table(p), max(mu[1] for mu, _ in slices)
-    dense = np.array([[binom[a, b] for b in range(top + 1)] for a in range(top + 1)], dtype=np.int64)
-    factors = dense[col_next[owner], moved]
+    top = max(mu[1] for mu, _ in slices)
+    factors = binom_array(col_next[owner], moved, p)
     coeff = factors[:, 0]
     for k in range(1, n):
         coeff = coeff * factors[:, k] % p

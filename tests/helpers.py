@@ -1,8 +1,17 @@
 """Small helpers that only the tests read."""
 
+import itertools
+
 import numpy as np
 
-from weylkit.shapes import _upper_triangular_array, plus_shift_matrix
+from weylkit.schur import xi_product_terms
+from weylkit.shapes import (
+    _upper_triangular_array,
+    dominates,
+    enumerate_partitions,
+    plus_shift_composition,
+    plus_shift_matrix,
+)
 
 
 def is_upper_triangular(w) -> bool:
@@ -39,3 +48,42 @@ def to_dense(mat) -> np.ndarray:
     out = np.zeros(mat.shape, dtype=np.int64)
     out[mat.rows, mat.cols] = mat.vals
     return out
+
+
+def dominated_pairs(n: int, r: int):
+    """The pairs (lam, mu) of partitions of r into at most n parts with mu
+    dominating lam."""
+    parts = enumerate_partitions(n, r)
+    return [(lam, mu) for lam, mu in itertools.product(parts, parts) if dominates(mu, lam)]
+
+
+def numbered_grid():
+    """(lam, mu, p): the dominated pairs with n in {2, 3, 4} and r <= 6 for
+    p in {2, 3}, each followed by its shifts by p^d, d in {1, 2}."""
+    for n in (2, 3, 4):
+        for r in range(1, 7):
+            for lam, mu in dominated_pairs(n, r):
+                for p in (2, 3):
+                    yield lam, mu, p
+                    for d in (1, 2):
+                        yield plus_shift_composition(lam, d, p), plus_shift_composition(mu, d, p), p
+
+
+def merge_table_by_pairs(space, p: int, degrees: int):
+    """``resolutions._merge_table`` made pair by pair: ``xi_product_terms``
+    for each pair of steps, and a dict from matrix to step id for the
+    merged steps.  The reference for the batched table."""
+    step_index = {w: s for s, w in enumerate(space.steps)}
+    # per step a, the number of steps b that can follow it
+    followers = np.diff(space.first)[space.step_target]
+    pair_start = np.cumsum(followers) - followers
+    reaches = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target].tolist()
+    sizes, merged, coeffs = [], [], []
+    for w, t in zip(space.steps, space.step_target.tolist()):
+        for b in range(space.first[t], space.first[t + 1]):
+            terms = xi_product_terms(w, space.steps[b], p) if reaches[b] else ()
+            sizes.append(len(terms))
+            merged.extend(step_index[m] for m, _ in terms)
+            coeffs.extend(c for _, c in terms)
+    indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    return pair_start, indptr, np.array(merged, dtype=np.int64), np.array(coeffs, dtype=np.int64)

@@ -21,7 +21,7 @@ from weylkit.ext import (
     verify_periodicity,
 )
 from weylkit.linalg import SparseMod
-from weylkit.resolutions import chain_arrows, is_hook, sy_arrows, sy_degree
+from weylkit.resolutions import _merge_table, chain_arrows, is_hook, sy_arrows, sy_degree
 from weylkit.shapes import (
     ChainSpace,
     chain_space,
@@ -32,12 +32,11 @@ from weylkit.shapes import (
     linked,
     matrix_margins,
     pad,
-    plus_shift_composition,
     transpose_matrix,
 )
 from weylkit.weyl import _sub_vectors, act_matrix, act_matrix_simple
 
-from helpers import to_dense
+from helpers import dominated_pairs, merge_table_by_pairs, numbered_grid, to_dense
 
 
 def test_complex_dims_worked_example():
@@ -442,11 +441,6 @@ def test_complex_dimension_decomposition():
         assert hc.dims[k] == expected
 
 
-def _dominated_pairs(n: int, r: int):
-    parts = enumerate_partitions(n, r)
-    return [(lam, mu) for lam, mu in itertools.product(parts, parts) if dominates(mu, lam)]
-
-
 def _raise_if_called(*args, **kwargs):
     raise AssertionError("the linkage shortcut enumerated a chain")
 
@@ -458,7 +452,7 @@ def test_unlinked_shortcut_matches_the_full_build(monkeypatch):
     expected = {}
     for n, top_r in ((2, 8), (3, 6), (4, 5)):
         for r in range(1, top_r + 1):
-            for lam, mu in _dominated_pairs(n, r):
+            for lam, mu in dominated_pairs(n, r):
                 for p in (2, 3, 5):
                     if linked(lam, mu, p):
                         continue
@@ -482,7 +476,7 @@ def test_unlinked_shortcut_matches_the_full_build(monkeypatch):
 
 
 def test_linked_pairs_take_the_full_build():
-    for lam, mu in _dominated_pairs(3, 5):
+    for lam, mu in dominated_pairs(3, 5):
         for p in (2, 3):
             if not linked(lam, mu, p):
                 continue
@@ -535,7 +529,7 @@ def test_row_removal_splits_ext():
     cases = 0
     for n in (3, 4):
         for r in range(2, 7):
-            for lam, mu in _dominated_pairs(n, r):
+            for lam, mu in dominated_pairs(n, r):
                 for k in range(1, n):
                     if sum(lam[:k]) != sum(mu[:k]):
                         continue
@@ -555,7 +549,7 @@ def test_determinant_twist_keeps_ext():
     cases = 0
     for n in (3, 4):
         for r in range(2, 7):
-            for lam, mu in _dominated_pairs(n, r):
+            for lam, mu in dominated_pairs(n, r):
                 if lam[-1] < 1 or mu[-1] < 1:
                     continue
                 lam1 = tuple(x - 1 for x in lam)
@@ -604,22 +598,11 @@ def _diffs_from_sy_arrows(lam, mu, p, target, degrees):
     return dims, diffs
 
 
-def _numbered_grid():
-    # dominated pairs with n in {2, 3, 4} and r <= 6, and their shifts by p^d, d in {1, 2}
-    for n in (2, 3, 4):
-        for r in range(1, 7):
-            for lam, mu in _dominated_pairs(n, r):
-                for p in (2, 3):
-                    yield lam, mu, p
-                    for d in (1, 2):
-                        yield plus_shift_composition(lam, d, p), plus_shift_composition(mu, d, p), p
-
-
 def test_numbered_differentials_match_the_per_chain_arrows():
     # the arrows compared are built here, not left in the memo by another test
     chain_arrows.cache_clear()
     cases = 0
-    for lam, mu, p in _numbered_grid():
+    for lam, mu, p in numbered_grid():
         for target in ("weyl", "simple"):
             for max_degree in (1, None):
                 hc = build_hom_complex(lam, mu, p, target, max_degree)
@@ -642,7 +625,7 @@ def test_truncated_arrows_are_the_full_arrows_cut_by_degree():
     # a truncated build multiplies only the step pairs its degrees reach,
     # yet lists exactly the full build's arrows out of those degrees
     cases = 0
-    for lam, p in dict.fromkeys((lam, p) for lam, _, p in _numbered_grid()):
+    for lam, p in dict.fromkeys((lam, p) for lam, _, p in numbered_grid()):
         space = chain_space(lam)
         full = chain_arrows(lam, p, space.max_length() + 1)
         for degrees in range(1, space.max_length() + 1):
@@ -650,6 +633,21 @@ def test_truncated_arrows_are_the_full_arrows_cut_by_degree():
             for column, whole in zip(chain_arrows(lam, p, degrees), full, strict=True):
                 assert column.dtype == np.int32
                 assert np.array_equal(column, whole[cut]), (lam, p, degrees)
+            cases += 1
+    assert cases == 636
+
+
+def test_merge_table_matches_the_per_pair_products():
+    # the batched merge table against the table made pair by pair from
+    # xi_product_terms, on every (lam, p, degrees) of the truncation test
+    cases = 0
+    for lam, p in dict.fromkeys((lam, p) for lam, _, p in numbered_grid()):
+        space = chain_space(lam)
+        for degrees in range(1, space.max_length() + 1):
+            table = _merge_table(space, p, degrees)
+            for column, expected in zip(table, merge_table_by_pairs(space, p, degrees), strict=True):
+                assert column.dtype == expected.dtype
+                assert np.array_equal(column, expected), (lam, p, degrees)
             cases += 1
     assert cases == 636
 
@@ -708,7 +706,7 @@ def test_ext_into_the_dual_weyl_module_is_delta(monkeypatch):
     chain = hook = 0
     for n, top in ((2, 8), (3, 7), (4, 5)):
         for r in range(1, top + 1):
-            for lam, mu in _dominated_pairs(n, r):
+            for lam, mu in dominated_pairs(n, r):
                 for p in (2, 3, 5):
                     hc = build_hom_complex(lam, mu, p)
                     assert hc.ext_dims() == [int(lam == mu)] + [0] * hc.report_degree, (lam, mu, p)

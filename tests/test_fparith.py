@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weylkit.fparith import binom_mod, binom_table, check_prime, is_prime, multinom_mod
+from weylkit.fparith import binom_array, binom_mod, binom_table, check_prime, is_prime, multinom_mod
 
 PRIMES = (2, 3, 5, 7)
 
@@ -28,6 +29,20 @@ def test_lucas_against_big_integer_oracle():
             for b in range(a + 1):
                 assert binom_mod(a, b, p) == math.comb(a, b) % p, (a, b, p)
                 assert binom_table(p)[a, b] == math.comb(a, b) % p, (a, b, p)
+
+
+def test_binom_array_reads_binom_mod_at_each_pair():
+    # a dense grid is gathered through a table of its range, a shifted one
+    # (entries past p^d) through the distinct pairs alone; both keep the shape
+    rng = np.random.default_rng(7)
+    for p in PRIMES:
+        a = rng.integers(0, 20, size=(40, 5))
+        b = rng.integers(0, 20, size=(40, 5))
+        for shift in (0, p**20, 2**62):
+            out = binom_array(a + shift, b, p)
+            assert out.shape == a.shape and out.dtype == np.int64
+            assert out.tolist() == [[binom_mod(x + shift, y, p) for x, y in zip(*row)] for row in zip(a, b)]
+        assert binom_array(np.zeros((0, 3), dtype=np.uint8), np.zeros((0, 3), dtype=np.uint8), p).shape == (0, 3)
 
 
 def test_shift_congruence_binomial():

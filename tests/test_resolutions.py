@@ -4,10 +4,14 @@ import json
 
 import pytest
 
+import weylkit.resolutions
 from weylkit.cli import main
+from weylkit.linalg import SparseMod, complex_ranks
 from weylkit.resolutions import (
     BoxFamily,
+    _merge_table,
     box_presentation,
+    chain_arrows,
     hook_resolution,
     is_hook,
     sy_arrows,
@@ -196,6 +200,55 @@ def test_max_length_is_longest_chain():
         assert sy_degree(mu, length + 1) == []
         if length:
             assert sy_degree(mu, length)
+
+
+def test_degree_one_merge_homology_counts_the_generators_reaching_lam():
+    # A merge arrow keeps the top weight, so the merge arrows alone form a
+    # complex.  Degree-1 chains have no merge arrow out, so its degree-1
+    # homology is the number of degree-1 chains less the rank of the merge
+    # arrows out of degree 2.  It counts the divided powers E_{i,i+1}^(p^j)
+    # that reach lam: one per (i, j) with p^j <= lam_{i+1}.
+    cases = 0
+    for n in (2, 3, 4):
+        for r in range(1, 9):
+            for lam in enumerate_partitions(n, r):
+                space = chain_space(lam)
+                degrees = min(3, space.max_length() + 1)
+                # chain counts and first chain numbers of degrees 0, 1, 2
+                counts = space.starts[:, -1].tolist() + [0, 0]
+                starts = space.chain_starts.tolist() + [0]
+                for p in (2, 3, 5):
+                    rows, cols, keys, vals = chain_arrows(lam, p, degrees)
+                    merge = keys >= len(space.steps)  # all of them out of degree 2
+                    arrows = SparseMod.from_entries(
+                        (counts[2], counts[1]),
+                        rows[merge] - starts[2],
+                        cols[merge] - starts[1],
+                        vals[merge],
+                        p,
+                    )
+                    generators = sum(p**j <= lam[i] for i in range(1, n) for j in range(lam[i].bit_length()))
+                    assert counts[1] - complex_ranks([arrows], p)[0] == generators, (lam, p)
+                    cases += 1
+    assert cases == 348
+
+
+def test_merge_table_rejects_a_product_that_is_no_step(monkeypatch):
+    # every merged matrix must be found among the steps, whole: one moved
+    # box in a product has no step id and raises
+    space = chain_space((2, 1, 1))
+    assert len(_merge_table(space, 3, space.max_length() + 1)[2])
+
+    def moved(ws, pis, p):
+        starts, products, values = weylkit.schur._xi_products(ws, pis, p)
+        products = products.copy()
+        products[-1, 0, 0] -= 1
+        products[-1, 1, 0] += 1
+        return starts, products, values
+
+    monkeypatch.setattr(weylkit.resolutions, "_xi_products", moved)
+    with pytest.raises(KeyError, match="is not a step"):
+        _merge_table(space, 3, space.max_length() + 1)
 
 
 # recorded before the chain layout moved behind ChainSpace: resolution

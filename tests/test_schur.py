@@ -1,11 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit.schur import (
     SchurElement,
+    _xi_products,
+    _xi_states,
     element_product,
     identity_element,
     structure_constant_int,
@@ -13,6 +16,7 @@ from weylkit.schur import (
     xi_product_terms,
 )
 from weylkit.shapes import (
+    chain_space,
     diagonal_matrix,
     dominates,
     enumerate_compositions,
@@ -23,7 +27,7 @@ from weylkit.shapes import (
     transpose_matrix,
 )
 
-from helpers import is_lower_triangular, is_upper_triangular, tensor_margins
+from helpers import is_lower_triangular, is_upper_triangular, numbered_grid, tensor_margins
 
 
 def all_matrices(n, r):
@@ -118,6 +122,70 @@ def test_xi_product_terms_matches_theta_sum(case, d):
 def test_xi_product_terms_keeps_its_cache_info():
     xi_product_terms(((1, 0), (0, 1)), ((1, 0), (0, 1)), 2)
     assert xi_product_terms.cache_info().currsize >= 1
+
+
+def assert_batch_matches_xi_states(ws, pis, p):
+    """``_xi_products`` on a batch equals ``_xi_states`` pair by pair, in
+    the descending-lex order of ``xi_product_terms``."""
+    ws, pis = np.asarray(ws, dtype=np.int64), np.asarray(pis, dtype=np.int64)
+    indptr, terms, coeffs = _xi_products(ws, pis, p)
+    k, n = ws.shape[:2]
+    assert len(indptr) == k + 1 and indptr[0] == 0 and indptr[-1] == len(terms) == len(coeffs)
+    assert terms.shape[1:] == (n, n)
+    flat = list(map(tuple, terms.reshape(-1, n * n).tolist()))
+    for i, (w, pi) in enumerate(zip(ws.tolist(), pis.tolist())):
+        expected = sorted(_xi_states(tuple(map(tuple, w)), tuple(map(tuple, pi)), p).items(), reverse=True)
+        a, b = indptr[i], indptr[i + 1]
+        assert list(zip(flat[a:b], coeffs[a:b].tolist())) == expected, (w, pi, p)
+
+
+def test_batched_products_match_the_reference_on_chain_steps():
+    # every pair of a step and a step out of the weight it reaches, in the
+    # chain spaces of the numbered grid, shifted ones included
+    pairs = 0
+    for lam, p in dict.fromkeys((lam, p) for lam, _, p in numbered_grid()):
+        space = chain_space(lam)
+        steps = np.array(space.steps, dtype=np.int64).reshape(-1, len(lam), len(lam))
+        followers = np.diff(space.first)[space.step_target]
+        a = np.repeat(np.arange(len(steps)), followers)
+        b = np.concatenate([np.arange(space.first[t], space.first[t + 1]) for t in space.step_target]
+                           + [np.zeros(0, dtype=np.int64)])
+        assert_batch_matches_xi_states(steps[a], steps[b], p)
+        pairs += len(a)
+    assert pairs == 11384
+
+
+def test_batched_products_of_mismatched_and_empty_batches():
+    # pairs whose margins disagree get no terms, between pairs that have some
+    rng = random.Random(3)
+    for n in (2, 3):
+        mats = all_matrices(n, 3) + all_matrices(n, 2)
+        ws = [rng.choice(mats) for _ in range(60)]
+        pis = [rng.choice(mats) for _ in range(60)]
+        assert sum(matrix_margins(w)[0] != matrix_margins(pi)[1] for w, pi in zip(ws, pis)) > 40
+        for p in (2, 3):
+            assert_batch_matches_xi_states(ws, pis, p)
+    indptr, terms, coeffs = _xi_products(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)), 2)
+    assert indptr.tolist() == [0] and terms.shape == (0, 3, 3) and coeffs.shape == (0,)
+
+
+def test_batched_products_sort_rows_past_int64(monkeypatch):
+    # n = 5 with entries 20: the states' block entries span 0..20 in each of
+    # 16 places, 21^16 > 2^63, so the states are sorted as rows
+    rows, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: rows.append(len(keys)) or lexsort(keys))
+    cyclic = [np.roll(np.eye(5, dtype=np.int64), k, axis=1) for k in range(5)]
+    ws = [20 * np.eye(5, dtype=np.int64)] * 5 + [20 * c for c in cyclic]
+    pis = [20 * c for c in cyclic] + [20 * np.eye(5, dtype=np.int64)] * 5
+    rng = random.Random(5)
+    small = all_matrices(5, 2)
+    for _ in range(30):
+        w = rng.choice(small)
+        ws.append(w)
+        pis.append(rng.choice([pi for pi in small if matrix_margins(pi)[1] == matrix_margins(w)[0]]))
+    for p in (2, 3):
+        assert_batch_matches_xi_states(ws, pis, p)
+    assert 17 in rows
 
 
 def test_non_composable_product_is_zero():
