@@ -37,6 +37,7 @@ from .shapes import (
     enumerate_compositions,
     expand_ranges,
     is_partition,
+    number_rows,
     validate_partition,
 )
 
@@ -91,7 +92,8 @@ def _merge_table(space: ChainSpace, p: int, degrees: int):
     <= degrees - 3 down to lam are multiplied; the others meet in no such
     chain and are left without products.  All of them are multiplied in one
     call of the batched dynamic program ``schur._xi_products``, and one
-    search maps the merged matrices to step ids.
+    numbering of the steps and merged matrices together
+    (``shapes.number_rows``) maps the merged matrices to step ids.
     """
     n = len(space.lam)
     steps = np.array(space.steps, dtype=np.int64).reshape(-1, n, n)
@@ -106,16 +108,15 @@ def _merge_table(space: ChainSpace, p: int, degrees: int):
     sizes = np.zeros(len(a), dtype=np.int64)
     sizes[live] = np.diff(starts)
     indptr = np.concatenate(([0], np.cumsum(sizes)))
-    # every merged matrix is a step out of a's weight: search them among
-    # the steps as raw bytes, and raise on one that is no step
-    row = np.dtype((np.void, steps.itemsize * n * n))
-    keys = steps.reshape(len(steps), n * n).view(row).ravel()
-    order = np.argsort(keys)
-    wanted = terms.reshape(len(terms), n * n).view(row).ravel()
-    merged = order.take(np.searchsorted(keys[order], wanted), mode="clip")
-    hit = (steps[merged] == terms).all(axis=(1, 2))
-    if not hit.all():
-        raise KeyError(f"{decode_matrices(terms[~hit][:1])[0]} is not a step of the chains of {space.lam}")
+    # every merged matrix is a step out of a's weight: number the steps and
+    # the merged matrices together, and raise on a number held by no step
+    distinct, ids = number_rows(np.concatenate((steps, terms)).reshape(-1, n * n))
+    step_of = np.full(len(distinct), -1, dtype=np.int64)
+    step_of[ids[: len(steps)]] = np.arange(len(steps))
+    merged = step_of[ids[len(steps) :]]
+    if (merged < 0).any():
+        missing = terms[np.flatnonzero(merged < 0)[:1]]
+        raise KeyError(f"{decode_matrices(missing)[0]} is not a step of the chains of {space.lam}")
     return pair_start, indptr, merged, coeffs
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
 from operator import add
 
 import numpy as np
@@ -52,6 +51,8 @@ from .shapes import (
     margin1,
     margin2,
     matrix_total,
+    number_rows,
+    sorted_groups,
     transpose_matrix,
     validate_matrix,
 )
@@ -94,29 +95,6 @@ def _xi_states(w: Matrix, pi: Matrix, p: int) -> dict[tuple[int, ...], int]:
     return states
 
 
-def _sorted_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, first) for a 2-D integer array: ``order`` sorts its rows in
-    ascending lex order, and ``first`` holds the positions in that order
-    where a new row begins.
-
-    The rows are numbered in the mixed radix of their columns' ranges and
-    sorted by that one int64 key while it fits, and sorted as rows
-    (``np.lexsort``) past it.
-    """
-    if not len(rows):
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    low = rows.min(axis=0)
-    radix = (rows.max(axis=0) - low + 1).tolist()
-    if prod(radix) < 2**63:
-        key = (rows - low) @ np.array([prod(radix[j + 1 :]) for j in range(len(radix))], dtype=np.int64)
-        order = np.argsort(key)
-        changed = key[order[1:]] != key[order[:-1]]
-    else:
-        order = np.lexsort(rows.T[::-1])
-        changed = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
-    return order, np.flatnonzero(np.concatenate(([True], changed)))
-
-
 def _xi_products(ws, pis, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """xi_{ws[i]} . xi_{pis[i]} for every i of two (k, n, n) integer arrays
     at once, as (indptr, terms, coeffs): pair i has the (m, n, n) matrices
@@ -142,14 +120,12 @@ def _xi_products(ws, pis, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the options' margins, row sums then column sums, of every step and
     # pair: one group per distinct margin row, one options list per group
     margins = np.concatenate((ws[live].transpose(2, 0, 1), pis[live].transpose(1, 0, 2)), axis=2)
-    order, first = _sorted_groups(margins.reshape(-1, 2 * n))
+    distinct, group = number_rows(margins.reshape(-1, 2 * n))
     options = [contingency_array(tuple(m[:n]), tuple(m[n:])).reshape(-1, n * n)
-               for m in margins.reshape(-1, 2 * n)[order[first]].tolist()]
+               for m in margins.reshape(-1, 2 * n)[distinct].tolist()]
     sizes = np.array([len(x) for x in options], dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
     options = np.concatenate([np.zeros((0, n * n), dtype=np.int64), *options], dtype=np.int64)
-    group = np.empty(len(order), dtype=np.int64)
-    group[order] = np.repeat(np.arange(len(first)), np.diff(np.append(first, len(order))))
     group = group.reshape(n, len(live))
     # the states: the index in ``live`` of their pair, S, and the coefficient
     slot = np.arange(len(live))
@@ -170,7 +146,7 @@ def _xi_products(ws, pis, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for j in np.flatnonzero(nonzero.any(axis=0)).tolist():
             coeffs = coeffs * factors[:, j] % p
         slot, states, coeffs = slot[coeffs != 0], states[coeffs != 0], coeffs[coeffs != 0]
-        order, first = _sorted_groups(np.concatenate((slot[:, None], -states[:, block]), axis=1))
+        order, first = sorted_groups(np.concatenate((slot[:, None], -states[:, block]), axis=1))
         coeffs = np.add.reduceat(coeffs[order], first) % p
         kept = order[first[coeffs != 0]]
         slot, states, coeffs = slot[kept], states[kept], coeffs[coeffs != 0]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import Iterator
 
 import numpy as np
@@ -463,6 +464,46 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The concatenation of range(starts[i], starts[i] + counts[i]) over i."""
     ends = np.cumsum(counts)
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - counts), counts)
+
+
+def sorted_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, first) for a 2-D integer array: ``order`` sorts its rows in
+    ascending lex order, and ``first`` holds the positions in that order
+    where a new row begins.
+
+    The rows are numbered in the mixed radix of their columns' ranges and
+    sorted by that one int64 key while it fits, and sorted as rows
+    (``np.lexsort``) past it.  The work runs on a contiguous copy of the
+    columns, since numpy reduces a narrow array along its long axis slowly
+    (50,000 rows of 2: min over axis 0 about 1.4 ms, over the contiguous
+    columns about 17 us).
+    """
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    cols = np.ascontiguousarray(rows.T, dtype=np.int64)
+    low = cols.min(axis=1)
+    radix = (cols.max(axis=1) - low + 1).tolist()
+    if prod(radix) < 2**63:
+        place = np.array([prod(radix[j + 1 :]) for j in range(len(radix))], dtype=np.int64)
+        key = place @ (cols - low[:, None])
+        order = np.argsort(key)
+        key = key[order]
+        changed = key[1:] != key[:-1]
+    else:
+        order = np.lexsort(cols[::-1])
+        changed = (cols[:, order[1:]] != cols[:, order[:-1]]).any(axis=0)
+    return order, np.flatnonzero(np.concatenate(([True], changed)))
+
+
+def number_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, ids) for a 2-D integer array: ``distinct`` holds the
+    position of one row of each value, in ascending lex order of the values,
+    and ``ids[i]`` the index in ``distinct`` of row i's value.  The numbering
+    is ``sorted_groups``'."""
+    order, first = sorted_groups(rows)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.repeat(np.arange(len(first)), np.diff(np.append(first, len(rows))))
+    return order[first], ids
 
 
 class ChainSpace:

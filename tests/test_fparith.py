@@ -31,18 +31,24 @@ def test_lucas_against_big_integer_oracle():
                 assert binom_table(p)[a, b] == math.comb(a, b) % p, (a, b, p)
 
 
-def test_binom_array_reads_binom_mod_at_each_pair():
-    # a dense grid is gathered through a table of its range, a shifted one
-    # (entries past p^d) through the distinct pairs alone; both keep the shape
+def test_binom_array_reads_binom_mod_at_each_pair(monkeypatch):
+    # unshifted pairs are gathered through a table over their range, shifted
+    # ones (past p^d) numbered by a sort on their int64 key; a shift on half
+    # the rows spreads a's range past that key, so the row sort numbers
+    # them; every output keeps the input's shape
+    sorts, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
     rng = np.random.default_rng(7)
+    half = np.arange(40)[:, None] % 2
     for p in PRIMES:
         a = rng.integers(0, 20, size=(40, 5))
         b = rng.integers(0, 20, size=(40, 5))
-        for shift in (0, p**20, 2**62):
+        for shift in (0, p**20, 2**62, half * 2**62):
             out = binom_array(a + shift, b, p)
             assert out.shape == a.shape and out.dtype == np.int64
-            assert out.tolist() == [[binom_mod(x + shift, y, p) for x, y in zip(*row)] for row in zip(a, b)]
+            assert out.tolist() == [[binom_mod(x, y, p) for x, y in zip(*row)] for row in zip((a + shift).tolist(), b.tolist())]
         assert binom_array(np.zeros((0, 3), dtype=np.uint8), np.zeros((0, 3), dtype=np.uint8), p).shape == (0, 3)
+    assert sorts == [2] * len(PRIMES)
 
 
 def test_shift_congruence_binomial():

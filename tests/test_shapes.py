@@ -25,11 +25,13 @@ from weylkit.shapes import (
     kostka,
     linked,
     matrix_margins,
+    number_rows,
     parse_composition,
     parse_matrix,
     parse_tableau_rows,
     plus_shift_composition,
     plus_shift_matrix,
+    sorted_groups,
     transpose_matrix,
 )
 
@@ -394,6 +396,29 @@ def test_tableau_matrix_bijection():
         from weylkit.weyl import straighten
 
         straighten(Tableau(((1, 0), (1, 2))), 3, mu=(3, 1))  # column sums are (2, 2)
+
+
+def test_row_numbering_matches_unique_rows(monkeypatch):
+    # small ranges go by one int64 key, wide ones (a column spanning 2^62)
+    # by the row sort; views of either layout, negative entries and the
+    # empty array included
+    sorts, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or lexsort(keys))
+    rng = np.random.default_rng(11)
+    for k, high in ((1, 4), (3, 3), (9, 2), (4, 2**62)):
+        rows = rng.integers(-2, 3, size=(300, k))
+        rows[::7, -1] = high
+        for view in (rows, np.asfortranarray(rows), rows[::-1]):
+            order, first = sorted_groups(view)
+            values, inverse = np.unique(view, axis=0, return_inverse=True)
+            assert view[order].tolist() == sorted(view.tolist())
+            assert view[order[first]].tolist() == values.tolist()
+            distinct, ids = number_rows(view)
+            assert view[distinct].tolist() == values.tolist()
+            assert ids.tolist() == inverse.ravel().tolist()
+    assert sorts == [4] * 6  # sorted_groups and number_rows on each view
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert [len(x) for x in sorted_groups(empty) + number_rows(empty)] == [0, 0, 0, 0]
 
 
 def test_tableau_normalises_row_order():
