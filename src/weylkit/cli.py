@@ -30,7 +30,6 @@ from pathlib import Path
 from . import __version__
 from .ext import (
     MAX_BASIS_DEFAULT,
-    MAX_R_DEFAULT,
     THEOREMS,
     ResourceLimitError,
     TheoremViolationError,
@@ -181,9 +180,8 @@ def cmd_ext(args) -> int:
     }
 
     def compute():
-        dims, consistent = compute_ext(
-            lam, mu, args.p, args.target, args.max_degree, args.max_basis, args.max_r
-        )
+        dims, consistent = compute_ext(lam, mu, args.p, args.target, args.max_degree,
+                                       args.max_basis)
         euler = sum((-1) ** i * d for i, d in enumerate(dims))
         return {"ext_dims": dims, "euler": euler, "euler_consistent": consistent}
 
@@ -268,9 +266,7 @@ def cmd_survey(args) -> int:
 
             def compute(lam=lam, mu=mu):
                 nonlocal handled
-                dims, _ = compute_ext(
-                    lam, mu, args.p, args.target, args.max_degree, args.max_basis, args.max_r
-                )
+                dims, _ = compute_ext(lam, mu, args.p, args.target, args.max_degree, args.max_basis)
                 handled = "built" if linked(lam, mu, args.p) else "unlinked"
                 # when the rank equals the degree and p is odd, degree ranges
                 # of these numbers transport to the symmetric group
@@ -427,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="recompute cached records and compare")
     capped = argparse.ArgumentParser(add_help=False, parents=[cached])
     capped.add_argument("--max-basis", type=_nonnegative, default=MAX_BASIS_DEFAULT)
-    capped.add_argument("--max-r", type=_nonnegative, default=MAX_R_DEFAULT)
 
     ext = subs.add_parser("ext", parents=[capped],
                           help="Ext dimension table for a pair of partitions")

@@ -27,8 +27,11 @@ from .resolutions import (
     is_hook,
 )
 from .shapes import (
+    INT32_MAX,
     Composition,
     Matrix,
+    ResourceLimitError,
+    _shifted,
     chain_space,
     contingency_array,
     dominates,
@@ -44,11 +47,11 @@ from .shapes import (
 from .weyl import act_matrix, act_matrix_simple, build_weight_space, build_weight_spaces, gram_data
 
 MAX_BASIS_DEFAULT = 200_000
-MAX_R_DEFAULT = 20
-# Largest accepted max_degree, far above any resolution length: each step of
-# a chain raises sum(i * alpha_i) by at least 1, so a chain down to lam has
-# length at most r(r - 1)/2, which is 190 at r = MAX_R_DEFAULT.  Degrees past
-# the length only add zeros to ext_dims.
+# Largest accepted max_degree, far above any resolution length: along a chain
+# of length k down to lam, the top at place j dominates the j tops below it,
+# and from a top there is a step down to every weight it dominates, so the
+# layout has at least k(k + 1)/2 steps.  Under shapes.MAX_LAYOUT_ROWS that
+# keeps k at most 631.  Degrees past the length only add zeros to ext_dims.
 MAX_DEGREE = 100_000
 # Most box-relation generator entries one Hom oracle call builds, over all
 # the slices it requests.  A build peaks at about 165 bytes per entry over
@@ -56,10 +59,6 @@ MAX_DEGREE = 100_000
 # its shifted side and peaks at 488 MB), so a call the cap admits stays
 # near 0.7 GB.
 MAX_RELATION_ENTRIES = 4_000_000
-
-
-class ResourceLimitError(RuntimeError):
-    """A configured size cap would be exceeded; nothing was computed."""
 
 
 class TheoremViolationError(AssertionError):
@@ -236,8 +235,7 @@ def _assemble(top_dims, summand_tops, starts, arrows, steps, mu: Composition, p:
     return summands, dims, diffs
 
 
-def _plan(lam: Composition, mu: Composition, p: int, target: str, max_degree, max_basis: int,
-          max_r: int):
+def _plan(lam: Composition, mu: Composition, p: int, target: str, max_degree, max_basis: int):
     """The checks a chain-resolution Hom complex of a checked pair passes
     before anything is built, and its size from chain counts alone.
 
@@ -248,14 +246,14 @@ def _plan(lam: Composition, mu: Composition, p: int, target: str, max_degree, ma
     weight dominates lam, so no weight slice of M survives: one zero degree
     is stored, the length counts as 0 and top_dims is None.  Raises
     ResourceLimitError when a stored degree needs more than ``max_basis``
-    chains or basis elements; raw chain counts are capped too, since even
-    zero-dimensional summands cost their enumeration.
+    chains or basis elements (raw chain counts are capped too, since even
+    zero-dimensional summands cost their enumeration), or when the stored
+    degrees' chains do not all get an int32 number.  The chain layout
+    refuses itself past ``shapes.MAX_LAYOUT_ROWS``.
     """
     check_prime(p)
     if max_degree is not None and not 0 <= max_degree <= MAX_DEGREE:
         raise ValueError(f"max_degree must lie in [0, {MAX_DEGREE}], got {max_degree}")
-    if sum(lam) > max_r:
-        raise ResourceLimitError(f"degree {sum(lam)} exceeds the cap {max_r}")
     if not dominates(mu, lam):
         return 0 if max_degree is None else max_degree, 0, [0], None
 
@@ -264,13 +262,18 @@ def _plan(lam: Composition, mu: Composition, p: int, target: str, max_degree, ma
     report = natural if max_degree is None else max_degree
     counts = space.profiles[:, : min(natural, report + 1) + 1]
     top_dims = _top_dims(space.tops, mu, p, target)
-    raws, totals = counts.sum(axis=0).tolist(), (top_dims @ counts).tolist()
+    # basis sizes as Python ints: a chain count may be near the ceiling
+    raws, totals = counts.sum(axis=0).tolist(), (top_dims.astype(object) @ counts).tolist()
     for k, (raw, total) in enumerate(zip(raws, totals)):
         if max(raw, total) > max_basis:
             raise ResourceLimitError(
                 f"degree {k} needs {raw} chains and {total} basis elements, "
                 f"exceeding the cap {max_basis}"
             )
+    if space.chain_starts[len(totals)] == INT32_MAX:
+        raise ResourceLimitError(
+            f"degrees 0 to {len(totals) - 1} need {sum(raws)} chains, past their int32 numbers"
+        )
     return report, natural, totals, top_dims
 
 
@@ -281,12 +284,11 @@ def build_hom_complex(
     target: str = "weyl",
     max_degree: int | None = None,
     max_basis: int = MAX_BASIS_DEFAULT,
-    max_r: int = MAX_R_DEFAULT,
 ) -> HomComplex:
     """Hom(chain resolution of lam, M) with M the Weyl module of mu
     (target="weyl") or its simple head (target="simple")."""
     lam, mu = _check_pair(lam, mu)
-    report, natural, totals, top_dims = _plan(lam, mu, p, target, max_degree, max_basis, max_r)
+    report, natural, totals, top_dims = _plan(lam, mu, p, target, max_degree, max_basis)
     if top_dims is None:
         return HomComplex(lam, mu, p, target, report, 0, [_EMPTY], [0], [])
     space = chain_space(lam)
@@ -311,7 +313,6 @@ def compute_ext(
     target: str = "weyl",
     max_degree: int | None = None,
     max_basis: int = MAX_BASIS_DEFAULT,
-    max_r: int = MAX_R_DEFAULT,
 ) -> tuple[list[int], bool | None]:
     """Ext dims of (lam, M) as ``build_hom_complex`` gives them, with the
     Euler check's verdict (None when it does not apply, see ``euler_check``).
@@ -326,10 +327,10 @@ def compute_ext(
     lam, mu = _check_pair(lam, mu)
     check_prime(p)
     if linked(lam, mu, p):
-        complex_ = build_hom_complex(lam, mu, p, target, max_degree, max_basis, max_r)
+        complex_ = build_hom_complex(lam, mu, p, target, max_degree, max_basis)
         applicable, holds = euler_check(complex_)
         return complex_.ext_dims(), holds if applicable else None
-    report, natural, totals, _ = _plan(lam, mu, p, target, max_degree, max_basis, max_r)
+    report, natural, totals, _ = _plan(lam, mu, p, target, max_degree, max_basis)
     holds = sum((-1) ** k * d for k, d in enumerate(totals)) == 0
     return [0] * (report + 1), holds if len(totals) > natural else None
 
@@ -345,7 +346,8 @@ def hom_dim_oracle(lam, mu, p: int) -> int:
 
     The family (i, t) acts from the weight-lam slice to the weight
     lam + t alpha_i one.  Those slices are read only when the weight-lam
-    slice is nonzero, and then all of them are built together.  Raises
+    slice is nonzero, and then all of them are built together; when it is
+    zero, nothing is built and the dimension is 0.  Raises
     ResourceLimitError first if their relations have more than
     ``MAX_RELATION_ENTRIES`` generator entries, built or not."""
     lam, mu = _check_pair(lam, mu)
@@ -358,7 +360,8 @@ def hom_dim_oracle(lam, mu, p: int) -> int:
         rho[i0][i0 + 1] = family.t
         rho[i0 + 1][i0 + 1] -= family.t
         rhos.append(tuple(map(tuple, rho)))
-    weights = [lam] + [margin2(rho) for rho in rhos] if kostka(mu, lam) else [lam]
+    nonzero = kostka(mu, lam) > 0
+    weights = [lam] + [margin2(rho) for rho in rhos] if nonzero else [lam]
     # a generator entry is a monomial w, a row pair i and a nonzero vector
     # v <= column i+1 of w, as ``weyl._box_relations`` lists them
     entries = 0
@@ -369,9 +372,9 @@ def hom_dim_oracle(lam, mu, p: int) -> int:
         raise ResourceLimitError(
             f"the Hom oracle needs {entries} relation entries, exceeding the cap {MAX_RELATION_ENTRIES}"
         )
-    model = build_weight_spaces([(mu, weight) for weight in weights], p)[0]
-    if model.dim == 0:
+    if not nonzero:
         return 0
+    model = build_weight_spaces([(mu, weight) for weight in weights], p)[0]
     if not rhos:
         return model.dim
     stacked = np.vstack([act_matrix(rho, mu, p) for rho in rhos])
@@ -683,7 +686,7 @@ def hook_ext_crosscheck(
     for d in shift_ds:
         pd = p**d
         base_dims = hook.ext_dims()
-        other = build_hook_hom_complex(a + pd, b, plus_shift_composition(mu, d, p), p)
+        other = build_hook_hom_complex(_shifted(a, d, p), b, plus_shift_composition(mu, d, p), p)
         other_dims = other.ext_dims()
         rows = []
         for i in range(b + 1):

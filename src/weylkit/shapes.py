@@ -29,8 +29,8 @@ that pass one vectorised column-strictness test, ``sst_indices``, and
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from math import prod
+from itertools import accumulate, product
+from math import comb, prod
 from typing import Iterator
 
 import numpy as np
@@ -38,6 +38,9 @@ import numpy as np
 Composition = tuple[int, ...]
 Matrix = tuple[Composition, ...]
 Tensor = tuple[Matrix, ...]
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +132,10 @@ def enumerate_partitions(n: int, r: int) -> tuple[Composition, ...]:
 
 
 def enumerate_dominating(lam) -> list[Composition]:
-    lam = tuple(lam)
-    return [a for a in enumerate_compositions(len(lam), sum(lam)) if dominates(a, lam)]
+    """The compositions that dominate lam, lam included (and last), in
+    descending lexicographic order.  Raises ResourceLimitError past
+    ``MAX_LAYOUT_ROWS`` of them (see ``_dominating_array``)."""
+    return list(map(tuple, _dominating_array(tuple(lam)).tolist()))
 
 
 def enumerate_strictly_dominating(lam) -> list[Composition]:
@@ -272,27 +277,6 @@ def enumerate_theta(w, pi) -> list[Tensor]:
     return results
 
 
-def _upper_triangular_array(row_sums: Composition) -> np.ndarray:
-    """Upper triangular matrices with the given row sums and at least one
-    nonzero entry strictly above the diagonal, the row-sum fibre of the span
-    usually written Lambda^1, as an (m, n, n) int64 array.
-
-    Row s is (0,) * s followed by a composition of row_sums[s] into n - s
-    parts, so the matrices are the product of the rows' choices.  Row 0
-    varies slowest and each row's choices come in descending-lex order, so
-    the product is descending-lex on the flattened matrix; its first element
-    puts each row sum on the diagonal and is dropped.
-    """
-    n = len(row_sums)
-    rows = [
-        np.array([(0,) * s + c for c in enumerate_compositions(n - s, total)], dtype=np.int64)
-        for s, total in enumerate(row_sums)
-    ]
-    # the index grid in C order lets row 0 vary slowest, as a product does
-    picks = np.indices([len(row) for row in rows]).reshape(n, -1)
-    return np.stack([row[pick] for row, pick in zip(rows, picks)], axis=1)[1:]
-
-
 # ---------------------------------------------------------------------------
 # degree-raising shift
 
@@ -303,10 +287,10 @@ def _shifted(x: int, d: int, p: int) -> int:
         raise ValueError("shift exponent d must be >= 1")
     if p < 2:
         raise ValueError("p must be at least 2")
-    q, top = p**d, int(np.iinfo(np.int64).max)
-    if q > top:
+    q = p**d
+    if q > INT64_MAX:
         raise ValueError(f"shift p^d = {p}^{d} exceeds the 64-bit integer range")
-    if x + q > top:
+    if x + q > INT64_MAX:
         raise ValueError(f"shifted entry {x} + {p}^{d} exceeds the 64-bit integer range")
     return x + q
 
@@ -506,6 +490,113 @@ def number_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[first], ids
 
 
+# Most rows that one array of a chain layout may hold: the tops, the
+# candidates for one matrix row, the partial matrices after each row, and the
+# steps, each counted before it is made.  A layout peaks at about 1.3 KB per
+# step at n = 4, 1.5 KB at n = 5 and 2.6 KB at n = 7 over an idle run's
+# 29 MB, most of it the steps as tuples ((1^7) has 150,719 steps and peaks
+# at 418 MB), so a layout the cap admits stays near 0.55 GB for n <= 7.
+MAX_LAYOUT_ROWS = 200_000
+# Chain counts are held at this ceiling, so that a sum of at most
+# MAX_LAYOUT_ROWS of them stays inside int64: over the steps of a layout,
+# its tops, or its degrees, which are fewer than its tops.  No degree with
+# that many chains is ever built.
+CHAIN_COUNT_CEILING = INT64_MAX // MAX_LAYOUT_ROWS
+
+
+class ResourceLimitError(RuntimeError):
+    """A configured size cap would be exceeded; nothing was computed."""
+
+
+def _check_layout_rows(lam: Composition, rows: int, what: str):
+    """Raise ResourceLimitError when an array of lam's chain layout, not yet
+    made, would hold more than MAX_LAYOUT_ROWS rows."""
+    if rows > MAX_LAYOUT_ROWS:
+        raise ResourceLimitError(
+            f"the chain layout of {lam} needs {rows} {what}, exceeding the cap {MAX_LAYOUT_ROWS}"
+        )
+
+
+def _children(lam: Composition, counts: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, offset) of every row of the next array of lam's chain
+    layout, when row i of the last one has counts[i] children, numbered
+    0 .. counts[i]-1.  Checked by ``_check_layout_rows`` first."""
+    _check_layout_rows(lam, int(counts.sum()), what)
+    return np.repeat(np.arange(len(counts)), counts), expand_ranges(np.zeros_like(counts), counts)
+
+
+def _dominating_array(lam: Composition) -> np.ndarray:
+    """The compositions dominating lam, lam included, as an (m, n) int64
+    array in descending-lex order.
+
+    They grow a part at a time for all prefixes at once.  Past a prefix of
+    sum S, part j runs down from r - S to the least value that keeps the sum
+    at lam's prefix sum P_j or above: min(r - S, r - P_j) + 1 values.  The
+    first part alone takes r - lam_1 + 1, so the counts do not grow with a
+    shift of lam's first part.
+    """
+    r = sum(lam)
+    if r > INT64_MAX:
+        raise ValueError(f"degree {r} exceeds the 64-bit integer range")
+    parts = np.zeros((1, 0), dtype=np.int64)
+    sums = np.zeros(1, dtype=np.int64)
+    for floor in accumulate(lam):
+        parent, offset = _children(lam, np.minimum(r - sums, r - floor) + 1, "tops")
+        part = (r - sums)[parent] - offset
+        parts = np.concatenate((parts[parent], part[:, None]), axis=1)
+        sums = sums[parent] + part
+    return parts
+
+
+@lru_cache(maxsize=None)
+def _budget_table(parts: int, most: int) -> np.ndarray:
+    """The compositions of 0, 1, ..., most into ``parts`` parts, by total and
+    each total's in descending-lex order, as one read-only (C(most + parts,
+    parts), parts) int64 array.  Its first C(m + parts, parts) rows are
+    those of total at most m."""
+    rows = [c for total in range(most + 1) for c in _compositions_bounded(total, (total,) * parts)]
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), parts)
+    table.flags.writeable = False
+    return table
+
+
+def _step_array(lam: Composition, tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(matrices, owner): the upper triangular matrices with the row sums of
+    a top and column sums that dominate lam, as an (m, n, n) int64 array,
+    and the index of each one's top.  They come top by top, each top's in
+    descending-lex order, so each top's first is its diagonal matrix.
+
+    The column sums dominate lam when, for each j, the mass that rows up to
+    j send past column j is at most e_j, the excess of the top's prefix sum
+    over lam's.  The matrices grow a row at a time, for all tops at once,
+    and row s settles that test for column s: a partial matrix whose earlier
+    rows send c past column s takes the rows that send m <= e_s - c past it
+    and keep alpha_s - m on the diagonal.  By m ascending, those candidates
+    are a prefix of ``_budget_table``, whose length is a binomial, so every
+    array is counted before it is made.  A partial matrix with c > e_s has
+    none and ends there.  Adding p^d to the first parts of lam and its tops
+    changes no e_j, so it changes none of the counts.
+    """
+    n = len(lam)
+    excess = np.cumsum(tops, axis=1) - np.cumsum(lam)
+    matrices = np.zeros((len(tops), n, n), dtype=np.int64)
+    owner = np.arange(len(tops))
+    for s in range(n):
+        width = n - s - 1
+        crossing = matrices[:, :s, s + 1 :].sum(axis=(1, 2))
+        budget = np.minimum(tops[owner, s], excess[owner, s] - crossing)
+        # every top's diagonal partial matrix has budget >= 0
+        most = int(budget.max())
+        _check_layout_rows(lam, comb(most + width, width), "candidates for one row")
+        table = _budget_table(width, most)
+        mass = table.sum(axis=1)
+        parent, pick = _children(lam, np.searchsorted(mass, budget, side="right"), "partial steps")
+        matrices, owner = matrices[parent], owner[parent]
+        matrices[:, s, s] = tops[owner, s] - mass[pick]
+        matrices[:, s, s + 1 :] = table[pick]
+    return matrices, owner
+
+
 class ChainSpace:
     """Chains (w_1, ..., w_k) of upper-triangular non-diagonal weight matrices
     linking a top weight down to a fixed bottom weight lam:
@@ -530,44 +621,55 @@ class ChainSpace:
     ``prefix[s_j, k-1-j]``, the number of chains of that length that leave
     the same weight by an earlier step.  The chains of all degrees are
     numbered one after another, degree k from ``chain_starts[k]`` on, and
-    ``chain_tops`` gives each one's top.
+    ``chain_tops`` gives each one's top.  The numbers are int32 and held at
+    its maximum; ``prefix`` has a column for each degree numbered below it,
+    the only degrees that can be built.
     """
 
     def __init__(self, lam: Composition):
         self.lam = tuple(lam)
         self.tops = (self.lam, *enumerate_strictly_dominating(self.lam))
         self.top_index = {alpha: t for t, alpha in enumerate(self.tops)}
-        floor = np.cumsum(self.lam)
-        tables = []
-        for alpha in self.tops:
-            table = _upper_triangular_array(alpha)
-            tables.append(table[(table.sum(axis=1).cumsum(axis=1) >= floor).all(axis=1)])
-        table = np.concatenate(tables)
+        matrices, owner = _step_array(self.lam, np.array(self.tops, dtype=np.int64))
+        # drop each top's first matrix, its diagonal one
+        blocks = np.searchsorted(owner, np.arange(len(self.tops) + 1))
+        table = np.delete(matrices, blocks[:-1], axis=0)
         self.steps: list[Matrix] = [tuple(map(tuple, w)) for w in table.tolist()]
-        self.first = np.concatenate(([0], np.cumsum([len(t) for t in tables])))
+        self.first = blocks - np.arange(len(self.tops) + 1)
         targets = map(tuple, table.sum(axis=1).tolist())
         self.step_target = np.array([self.top_index[b] for b in targets], dtype=np.int64)
 
         counts = [np.zeros(len(self.tops), dtype=np.int64)]
         counts[0][0] = 1  # the empty chain of lam
         while counts[-1].any():
-            counts.append(_segment_sums(counts[-1][self.step_target], self.first))
+            below = _segment_sums(counts[-1][self.step_target], self.first)
+            counts.append(np.minimum(below, CHAIN_COUNT_CEILING))
         self.profiles = np.stack(counts[:-1], axis=1)
         # starts[k, t]: the index in degree k of the first chain from tops[t];
         # the last column is the number of degree-k chains
         self.starts = np.zeros((self.profiles.shape[1], len(self.tops) + 1), dtype=np.int64)
         np.cumsum(self.profiles.T, axis=1, out=self.starts[:, 1:])
-        below = self.profiles[self.step_target]
+        # int32, as the arrows' rows are, so that searching them copies
+        # nothing; held at its maximum, past which no degree is built
+        totals = np.concatenate(([0], np.cumsum(np.minimum(self.starts[:, -1], INT32_MAX))))
+        self.chain_starts = np.minimum(totals, INT32_MAX).astype(np.int32)
+        # prefix has a column per degree that can be built, not one per
+        # degree of the resolution, which may be hundreds long
+        numbered = int(np.searchsorted(self.chain_starts[1:], INT32_MAX))
+        below = self.profiles[self.step_target, :numbered]
         self.prefix = np.cumsum(below, axis=0) - below
         source = np.repeat(np.arange(len(self.tops)), np.diff(self.first))
         self.prefix -= self.prefix[self.first[source]]
-        # int32, as the arrows' rows are, so that searching them copies nothing
-        self.chain_starts = np.concatenate(([0], np.cumsum(self.starts[:, -1])), dtype=np.int32)
         self._layer_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def count(self, alpha: Composition, k: int) -> int:
+        """The number of length-k chains from alpha.  Raises
+        ResourceLimitError for a count held at ``CHAIN_COUNT_CEILING``."""
         t = self.top_index.get(tuple(alpha))
-        return int(self.profiles[t, k]) if t is not None and 0 <= k < self.profiles.shape[1] else 0
+        count = int(self.profiles[t, k]) if t is not None and 0 <= k < self.profiles.shape[1] else 0
+        if count >= CHAIN_COUNT_CEILING:
+            raise ResourceLimitError(f"{alpha} has at least {count} chains of length {k}")
+        return count
 
     def layer(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(chains, tails) for 0 <= k <= ``max_length()``: the degree-k chains

@@ -6,8 +6,8 @@ import numpy as np
 
 from weylkit.schur import xi_product_terms
 from weylkit.shapes import (
-    _upper_triangular_array,
     dominates,
+    enumerate_compositions,
     enumerate_partitions,
     plus_shift_composition,
     plus_shift_matrix,
@@ -22,10 +22,59 @@ def is_lower_triangular(w) -> bool:
     return not np.triu(np.array(w), 1).any()
 
 
+def upper_triangular_array(row_sums) -> np.ndarray:
+    """Upper triangular matrices with the given row sums and at least one
+    nonzero entry strictly above the diagonal, the row-sum fibre of the span
+    usually written Lambda^1, as an (m, n, n) int64 array.
+
+    Row s is (0,) * s followed by a composition of row_sums[s] into n - s
+    parts, so the matrices are the product of the rows' choices.  Row 0
+    varies slowest and each row's choices come in descending-lex order, so
+    the product is descending-lex on the flattened matrix; its first element
+    puts each row sum on the diagonal and is dropped.
+    """
+    n = len(row_sums)
+    rows = [
+        np.array([(0,) * s + c for c in enumerate_compositions(n - s, total)], dtype=np.int64)
+        for s, total in enumerate(row_sums)
+    ]
+    # the index grid in C order lets row 0 vary slowest, as a product does
+    picks = np.indices([len(row) for row in rows]).reshape(n, -1)
+    return np.stack([row[pick] for row, pick in zip(rows, picks)], axis=1)[1:]
+
+
 def upper_triangular(row_sums):
     """The steps out of the weight ``row_sums`` as tuples of matrices:
-    ``shapes._upper_triangular_array`` decoded, in its order."""
-    return tuple(tuple(map(tuple, w)) for w in _upper_triangular_array(tuple(row_sums)).tolist())
+    ``upper_triangular_array`` decoded, in its order."""
+    return tuple(tuple(map(tuple, w)) for w in upper_triangular_array(tuple(row_sums)).tolist())
+
+
+def chain_layout(lam):
+    """(tops, steps, first, step_target, profiles) of the chains down to
+    lam, made by product and filter: the tops are every composition of
+    lam's total that dominates it, and the steps out of a top are all of
+    ``upper_triangular_array``, filtered to those whose column sums still
+    dominate lam.  The reference for ``shapes.ChainSpace``, which generates
+    only what it keeps; its time grows with p^d on a shifted lam."""
+    lam = tuple(lam)
+    dominating = [a for a in enumerate_compositions(len(lam), sum(lam)) if dominates(a, lam)]
+    tops = (lam, *(a for a in dominating if a != lam))
+    top_index = {alpha: t for t, alpha in enumerate(tops)}
+    floor = np.cumsum(lam)
+    tables = []
+    for alpha in tops:
+        table = upper_triangular_array(alpha)
+        tables.append(table[(table.sum(axis=1).cumsum(axis=1) >= floor).all(axis=1)])
+    table = np.concatenate(tables)
+    steps = [tuple(map(tuple, w)) for w in table.tolist()]
+    first = np.concatenate(([0], np.cumsum([len(t) for t in tables])))
+    step_target = np.array([top_index[tuple(b)] for b in table.sum(axis=1).tolist()], dtype=np.int64)
+    counts = [np.zeros(len(tops), dtype=np.int64)]
+    counts[0][0] = 1  # the empty chain of lam
+    while counts[-1].any():
+        below = counts[-1][step_target]
+        counts.append(np.array([below[a:b].sum() for a, b in zip(first, first[1:])], dtype=np.int64))
+    return tops, steps, first, step_target, np.stack(counts[:-1], axis=1)
 
 
 def tensor_margins(t):

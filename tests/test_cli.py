@@ -424,16 +424,19 @@ def test_shift_past_int64_is_usage_error(capsys, deadline, theorem, p, d):
 BIG = str(2**62)  # a part that fits int64, but not once 2^62 is added to it
 
 
-@pytest.mark.parametrize("theorem, code, message", [
+@pytest.mark.parametrize("theorem, mu", [
     # 6.1 used to end as exit 4, "internal error: OverflowError"
-    ("6.1", 2, f"error: shifted entry {BIG} + 2^62 exceeds the 64-bit integer range"),
-    # 6.4 builds a hook complex of degree r first, so the degree cap fires
-    ("6.4", 3, f"resource cap: degree {2**62 + 1} exceeds the cap 20"),
-], ids=["6.1", "6.4"])
-def test_shifted_part_past_int64_is_not_internal_error(capsys, deadline, theorem, code, message):
+    ("6.1", str(2**62 + 1)),
+    # 6.4 checks the shift of the hook's first part before mu's; with a mu
+    # whose parts shift safely it used to pass on a first part of 2^63
+    ("6.4", str(2**62 + 1)),
+    ("6.4", f"{2**61 + 1},{2**61}"),
+], ids=["6.1", "6.4", "6.4-non-dominating"])
+def test_shifted_part_past_int64_is_not_internal_error(capsys, deadline, theorem, mu):
     got, out, err = run(capsys, "verify", "--theorem", theorem, "--p", "2", "--d", "62",
-                        "--lambda", f"{BIG},1", "--mu", str(2**62 + 1))
-    assert (got, out, err) == (code, "", message)
+                        "--lambda", f"{BIG},1", "--mu", mu)
+    message = f"error: shifted entry {BIG} + 2^62 exceeds the 64-bit integer range"
+    assert (got, out, err) == (2, "", message)
 
 
 def test_hom_bound_past_the_relation_entry_cap(capsys, deadline):
@@ -443,6 +446,67 @@ def test_hom_bound_past_the_relation_entry_cap(capsys, deadline):
                          "--lambda", "5,5,5,5", "--mu", "5,5,5,5")
     assert code == 3 and out == ""
     assert err.startswith("resource cap:")
+
+
+def test_hom_bound_of_a_non_dominated_pair_builds_no_slice(capsys, monkeypatch):
+    # (3,3) does not dominate (4,2), nor does (5,3) dominate (6,2): both Hom
+    # spaces are zero, and no weight slice is built for either
+    monkeypatch.setattr(weylkit.ext, "build_weight_spaces", _raise(AssertionError("slice built")))
+    code, out, _ = run(capsys, "verify", "--theorem", "6.1", "--p", "2", "--d", "1",
+                       "--lambda", "4,2", "--mu", "3,3")
+    assert code == 0
+    assert json.dumps(json.loads(out)["result"]) == (
+        '{"key": {"p": 2, "n": 2, "r": 6, "lambda": [4, 2], "mu": [3, 3], "theorem": "6.1", '
+        '"d": 1, "max_degree": null}, "report": {"lambda": [4, 2], "mu": [3, 3], "p": 2, "d": 1, '
+        '"theorem": "6.1", "hypotheses": {"pd_gt_min_l2_m1_minus_l1": true, "mu2_le_l1": true, '
+        '"all_hold": true}, "ext_dims": [0], "shifted_ext_dims": [0], "per_degree_equal": [true], '
+        '"all_equal": true, "verdict": "PASS"}, "verdict": "PASS", "engine_version": "0.1.0"}'
+    )
+
+
+# shifts past the old cap of 20 on the degree: the shifted chain layout is
+# the unshifted one with p^d added at (1,1), so each takes well under a second
+SHIFTED_RECORDS = [
+    (("1.1.1", "2,1", "3", "2", "5"), [0, 0], True),
+    (("1.1.1", "2,1", "3", "2", "40"), [0, 0], True),
+    (("1.1.1", "2,2,1", "5", "2", "20"), [0, 1, 1, 0, 0], True),
+    (("1.1.1", "3,1,1,1", "4,2", "2", "12"), [1, 2, 1, 0, 0, 0, 0], True),
+    (("1.1.2", "3,3,3", "9", "3", "3"), [0, 0, 1, 1, 0, 1, 1, 0, 0, 0], None),
+]
+
+
+@pytest.mark.parametrize("argv, dims, isomorphic", SHIFTED_RECORDS,
+                         ids=["2,1-2^5", "2,1-2^40", "2,2,1-2^20", "3,1,1,1-2^12", "3,3,3-3^3"])
+def test_verify_past_the_old_degree_cap(capsys, deadline, argv, dims, isomorphic):
+    theorem, lam, mu, p, d = argv
+    code, out, _ = run(capsys, "verify", "--theorem", theorem, "--lambda", lam, "--mu", mu,
+                       "--p", p, "--d", d)
+    assert code == 0
+    report = json.loads(out)["result"]["report"]
+    assert report["verdict"] == "PASS"
+    assert report["ext_dims"] == report["shifted_ext_dims"] == dims
+    assert report["shifted_lambda"][0] == int(lam.split(",")[0]) + int(p) ** int(d)
+    assert report.get("isomorphism", {}).get("all_equal") is isomorphic
+
+
+ONES_20, TWOS_10 = ",".join(["1"] * 20), ",".join(["2"] * 10)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext", "--p", "2", "--lambda", "3,3,3,3,3", "--mu", "15"),
+    ("ext", "--p", "2", "--lambda", "4,4,4,4,4", "--mu", "20"),
+    ("ext", "--p", "2", "--lambda", ONES_20, "--mu", "20"),
+    ("ext", "--p", "2", "--lambda", TWOS_10, "--mu", "20"),
+    ("ext", "--p", "2", "--lambda", "6,6,6,6", "--mu", "24"),
+    ("ext", "--p", "2", "--lambda", "12,12,12,12", "--mu", "48"),
+    ("resolve-info", "--lambda", "4,4,4,4,4", "--max-degree", "1"),
+], ids=["3^5", "4^5", "1^20", "2^10", "6^4", "12^4", "resolve-info-4^5"])
+def test_oversized_chain_layouts_are_refused_early(capsys, deadline, argv):
+    # each ran out of memory, or refused only after 50-100 s, before the
+    # chain layout was counted ahead of being made
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("resource cap: the chain layout of")
 
 
 # (4,3,2,1) -> (10) at p = 3 is a heavy linked pair of the r = 10, n = 4
@@ -815,10 +879,8 @@ def test_rank_below_one_is_usage_error(capsys, argv, n):
 
 @pytest.mark.parametrize("argv", [
     ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--max-basis", "-1"),
-    ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--max-r", "-5"),
     ("survey", "--p", "2", "--r", "2", "--max-basis", "-3"),
-    ("survey", "--p", "2", "--r", "2", "--max-r", "-1"),
-], ids=["ext-max-basis", "ext-max-r", "survey-max-basis", "survey-max-r"])
+], ids=["ext-max-basis", "survey-max-basis"])
 def test_negative_size_cap_is_usage_error(capsys, argv):
     # a negative cap used to end as a resource cap (exit 3), or in survey as
     # every pair skipped with exit 0
@@ -830,7 +892,19 @@ def test_negative_size_cap_is_usage_error(capsys, argv):
 
 
 def test_zero_size_caps_stay_valid(capsys):
-    code, _, err = run(capsys, "ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--max-r", "0")
+    code, _, err = run(capsys, "ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--max-basis", "0")
     assert code == 3 and "cap" in err
     code, out, err = run(capsys, "survey", "--p", "2", "--r", "2", "--max-basis", "0")
     assert (code, out) == (0, "") and "skipped: cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--max-r", "20"),
+    ("survey", "--p", "2", "--r", "2", "--max-r", "20"),
+], ids=["ext", "survey"])
+def test_degree_cap_option_is_gone(capsys, argv):
+    # the chain layout bounds itself, so the degree needs no cap of its own
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-r 20" in capsys.readouterr().err

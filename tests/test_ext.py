@@ -107,6 +107,16 @@ def test_hom_oracle_caps_the_relation_entries_of_every_slice(monkeypatch):
             hom_dim_oracle(lam, mu, p)
 
 
+def test_hom_oracle_builds_nothing_for_a_zero_weight_slice(monkeypatch):
+    # when mu does not dominate lam, the weight-lam slice of Weyl(mu) is zero
+    monkeypatch.setattr(weylkit.ext, "build_weight_spaces", _raise_if_called)
+    pairs = [(upper, lower) for lower, upper in dominated_pairs(3, 5) if lower != upper]
+    assert len(pairs) == 10
+    for lam, mu in pairs:
+        for p in (2, 3):
+            assert hom_dim_oracle(lam, mu, p) == 0, (lam, mu, p)
+
+
 def test_semisimple_regime():
     # p > r: Hom is the identity pairing and higher Ext vanishes
     p, r = 5, 3
@@ -395,10 +405,17 @@ def test_hook_complex_input_validation():
 
 
 def test_resource_caps():
-    with pytest.raises(ResourceLimitError):
-        build_hom_complex((21, 0), (21, 0), 2)
+    with pytest.raises(ResourceLimitError, match="chain layout"):
+        build_hom_complex((3, 3, 3, 3, 3), (15, 0, 0, 0, 0), 2)
     with pytest.raises(ResourceLimitError):
         build_hom_complex((2, 1, 0), (3, 0, 0), 2, max_basis=0)
+
+
+def test_chains_past_int32_numbers_are_refused():
+    # (4,4,4,4) has 3.6e14 chains in degrees 0..24, which a basis cap this
+    # large admits degree by degree; their int32 numbers used to wrap
+    with pytest.raises(ResourceLimitError, match="past their int32 numbers"):
+        build_hom_complex((4, 4, 4, 4), (16, 0, 0, 0), 2, max_basis=10**15)
 
 
 def test_max_degree_extends_with_zeros():
@@ -491,8 +508,6 @@ def test_unlinked_pairs_keep_the_size_caps():
     assert not linked((2, 1), (3, 0), 2)
     with pytest.raises(ResourceLimitError):
         compute_ext((2, 1), (3, 0), 2, max_basis=0)
-    with pytest.raises(ResourceLimitError):
-        compute_ext((2, 1), (3, 0), 2, max_r=2)
     with pytest.raises(ValueError):
         compute_ext((2, 1), (3, 0), 2, max_degree=-1)
 

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylkit.shapes import (
+    INT32_MAX,
+    ChainSpace,
+    ResourceLimitError,
     Tableau,
     chain_space,
     contingency_array,
@@ -35,7 +38,13 @@ from weylkit.shapes import (
     transpose_matrix,
 )
 
-from helpers import is_lower_triangular, plus_shift_tensor, tensor_margins, upper_triangular
+from helpers import (
+    chain_layout,
+    is_lower_triangular,
+    plus_shift_tensor,
+    tensor_margins,
+    upper_triangular,
+)
 
 
 def compositions(n, r):
@@ -473,6 +482,89 @@ def test_enumerate_upper_triangular_matches_bruteforce():
                         brute.append(w)
                 brute.sort(key=lambda w: sum(w, ()), reverse=True)
                 assert upper_triangular(alpha) == tuple(brute), alpha
+
+
+def _layout_grid():
+    """Every partition with n <= 4 parts and r <= 8, then its shifts by 2^1,
+    3^1 and 2^3."""
+    for n in range(1, 5):
+        for r in range(9):
+            for lam in enumerate_partitions(n, r):
+                yield lam
+                for p, d in ((2, 1), (3, 1), (2, 3)):
+                    yield plus_shift_composition(lam, d, p)
+
+
+def test_chain_space_matches_the_product_and_filter_layout():
+    # the layout generated row by row, keeping only what dominates lam, is
+    # the one the full product of row compositions, filtered, gives
+    for lam in _layout_grid():
+        space = chain_space(lam)
+        tops, steps, first, step_target, profiles = chain_layout(lam)
+        assert space.tops == tops and space.steps == steps, lam
+        for got, want in ((space.first, first), (space.step_target, step_target),
+                          (space.profiles, profiles)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), lam
+
+
+def test_chain_space_shift_adds_p_to_the_d_at_one_one():
+    # the (1,1) entry of every step is at least the first part of lam, which
+    # carries the shift, so the layout of the shifted lam is lam's with p^d
+    # added there, whatever p^d is
+    for n in range(1, 5):
+        for r in range(7):
+            for lam in enumerate_partitions(n, r):
+                space = chain_space(lam)
+                for p, d in ((2, 40), (5, 20), (3, 2)):
+                    shifted = chain_space(plus_shift_composition(lam, d, p))
+                    assert shifted.tops == tuple(plus_shift_composition(a, d, p) for a in space.tops)
+                    assert shifted.steps == [plus_shift_matrix(w, d, p) for w in space.steps]
+                    for name in ("first", "step_target", "profiles"):
+                        assert np.array_equal(getattr(shifted, name), getattr(space, name)), lam
+
+
+def test_chain_counts_are_held_at_the_ceiling(monkeypatch):
+    # (1^5) has up to 37,559 chains from a top in one degree; held at 1000,
+    # every count is min(count, 1000), and count() refuses a held one
+    lam = (1, 1, 1, 1, 1)
+    *_, profiles = chain_layout(lam)
+    monkeypatch.setattr(weylkit.shapes, "CHAIN_COUNT_CEILING", 1000)
+    space = ChainSpace(lam)
+    assert np.array_equal(space.profiles, np.minimum(profiles, 1000))
+    t, k = np.argwhere(profiles >= 1000)[0]
+    with pytest.raises(ResourceLimitError, match=f"at least 1000 chains of length {k}"):
+        space.count(space.tops[t], k)
+    t, k = np.argwhere((profiles > 0) & (profiles < 1000))[-1]
+    assert space.count(space.tops[t], k) == profiles[t, k]
+
+
+def test_chain_numbers_past_int32_are_held():
+    # (4,4,4,4) has 3.2e13 chains from one top in one degree, past int32
+    # once summed over the degrees before it; the numbers there used to wrap
+    space = ChainSpace((4, 4, 4, 4))
+    totals = space.profiles.sum(axis=0).tolist()
+    exact = [sum(totals[:k]) for k in range(len(totals) + 1)]
+    assert exact[-1] > INT32_MAX and space.chain_starts.dtype == np.int32
+    assert space.chain_starts.tolist() == [min(x, INT32_MAX) for x in exact]
+
+
+def test_layout_cap_edge(monkeypatch):
+    # the largest array of the (3,3,3) layout is its last row's partial
+    # matrices, every step and each top's diagonal matrix; its tops are
+    # counted in full after their last part
+    lam = (3, 3, 3)
+    tops, steps, *_ = chain_layout(lam)
+    rows = len(steps) + len(tops)
+    monkeypatch.setattr(weylkit.shapes, "MAX_LAYOUT_ROWS", rows)
+    assert ChainSpace(lam).steps == steps
+    monkeypatch.setattr(weylkit.shapes, "MAX_LAYOUT_ROWS", rows - 1)
+    with pytest.raises(ResourceLimitError, match=f"needs {rows} partial steps, exceeding the cap {rows - 1}"):
+        ChainSpace(lam)
+    monkeypatch.setattr(weylkit.shapes, "MAX_LAYOUT_ROWS", len(tops))
+    assert enumerate_dominating(lam) == [*tops[1:], lam]
+    monkeypatch.setattr(weylkit.shapes, "MAX_LAYOUT_ROWS", len(tops) - 1)
+    with pytest.raises(ResourceLimitError, match=f"needs {len(tops)} tops"):
+        enumerate_dominating(lam)
 
 
 def test_chain_relations_hold():
