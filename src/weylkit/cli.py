@@ -29,7 +29,6 @@ from pathlib import Path
 
 from . import __version__
 from .ext import (
-    MAX_BASIS_DEFAULT,
     THEOREMS,
     ResourceLimitError,
     TheoremViolationError,
@@ -180,8 +179,7 @@ def cmd_ext(args) -> int:
     }
 
     def compute():
-        dims, consistent = compute_ext(lam, mu, args.p, args.target, args.max_degree,
-                                       args.max_basis)
+        dims, consistent = compute_ext(lam, mu, args.p, args.target, args.max_degree)
         euler = sum((-1) ** i * d for i, d in enumerate(dims))
         return {"ext_dims": dims, "euler": euler, "euler_consistent": consistent}
 
@@ -266,7 +264,7 @@ def cmd_survey(args) -> int:
 
             def compute(lam=lam, mu=mu):
                 nonlocal handled
-                dims, _ = compute_ext(lam, mu, args.p, args.target, args.max_degree, args.max_basis)
+                dims, _ = compute_ext(lam, mu, args.p, args.target, args.max_degree)
                 handled = "built" if linked(lam, mu, args.p) else "unlinked"
                 # when the rank equals the degree and p is odd, degree ranges
                 # of these numbers transport to the symmetric group
@@ -386,13 +384,6 @@ def cmd_resolve_info(args) -> int:
 # parser
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
-
-
 def _add_common(sub):
     sub.add_argument("--lambda", dest="lam", required=True, help="partition, e.g. 8,3")
     sub.add_argument("--mu", required=True, help="partition, e.g. 11")
@@ -416,15 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="weylkit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    # flags of the commands that write cache records, and of those that also build complexes
+    # flags of the commands that write cache records
     cached = argparse.ArgumentParser(add_help=False)
     cached.add_argument("--cache-dir", default=None, help=f"result cache (default ${CACHE_ENV})")
     cached.add_argument("--recheck", action="store_true",
                         help="recompute cached records and compare")
-    capped = argparse.ArgumentParser(add_help=False, parents=[cached])
-    capped.add_argument("--max-basis", type=_nonnegative, default=MAX_BASIS_DEFAULT)
 
-    ext = subs.add_parser("ext", parents=[capped],
+    ext = subs.add_parser("ext", parents=[cached],
                           help="Ext dimension table for a pair of partitions")
     _add_common(ext)
     ext.add_argument("--target", choices=("weyl", "simple"), default="weyl")
@@ -441,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(verify)
     verify.set_defaults(func=cmd_verify)
 
-    survey = subs.add_parser("survey", parents=[capped],
+    survey = subs.add_parser("survey", parents=[cached],
                              help="Ext records for all dominated pairs in a grid")
     survey.add_argument("--p", type=int, required=True)
     survey.add_argument("--r", type=int, required=True)

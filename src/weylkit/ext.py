@@ -27,10 +27,10 @@ from .resolutions import (
     is_hook,
 )
 from .shapes import (
-    INT32_MAX,
     Composition,
     Matrix,
     ResourceLimitError,
+    _check_degree,
     _shifted,
     chain_space,
     contingency_array,
@@ -46,7 +46,15 @@ from .shapes import (
 )
 from .weyl import act_matrix, act_matrix_simple, build_weight_space, build_weight_spaces, gram_data
 
-MAX_BASIS_DEFAULT = 200_000
+# Most chains, and most basis elements, that one Hom complex may hold over
+# all its stored degrees, each sum counted before anything is built.  An
+# ext build peaks at 0.5-0.7 KB per chain over an idle run's 34 MB
+# ((1^5) -> (5): 267,998 chains, 215 MB; (6,6,3) -> (15) at p=3: 348,160
+# chains, 261 MB), so a complex the cap admits stays near 0.4 GB.  A 1.1.1
+# verify holds two and compares their bases: (20,20) -> (40) at d=30 to
+# degree 8, 431,910 chains a side, peaks at 851 MB.  Far below INT32_MAX,
+# so every stored chain has an int32 number.
+MAX_COMPLEX_SIZE = 500_000
 # Largest accepted max_degree, far above any resolution length: along a chain
 # of length k down to lam, the top at place j dominates the j tops below it,
 # and from a top there is a step down to every weight it dominates, so the
@@ -59,6 +67,11 @@ MAX_DEGREE = 100_000
 # its shifted side and peaks at 488 MB), so a call the cap admits stays
 # near 0.7 GB.
 MAX_RELATION_ENTRIES = 4_000_000
+# Most relation families, sum(lam[1:]), one Hom oracle call lists.  Each
+# costs about 0.2 ms and 3 KB in Python before any entry is counted, and on
+# a one-row mu it adds no entries: verify 6.1 of (10000,10000) -> (20000),
+# two calls of 10,000 families, takes 4.2 s and peaks at 97 MB.
+MAX_RELATION_FAMILIES = 10_000
 
 
 class TheoremViolationError(AssertionError):
@@ -163,6 +176,7 @@ def _check_pair(lam, mu) -> tuple[Composition, Composition]:
         raise ValueError(f"{lam} and {mu} must have the same length")
     if sum(lam) != sum(mu):
         raise ValueError(f"{lam} and {mu} are partitions of different degrees")
+    _check_degree(sum(lam))
     return lam, mu
 
 
@@ -235,7 +249,7 @@ def _assemble(top_dims, summand_tops, starts, arrows, steps, mu: Composition, p:
     return summands, dims, diffs
 
 
-def _plan(lam: Composition, mu: Composition, p: int, target: str, max_degree, max_basis: int):
+def _plan(lam: Composition, mu: Composition, p: int, target: str, max_degree):
     """The checks a chain-resolution Hom complex of a checked pair passes
     before anything is built, and its size from chain counts alone.
 
@@ -245,10 +259,10 @@ def _plan(lam: Composition, mu: Composition, p: int, target: str, max_degree, ma
     of ``chain_space(lam)``.  When mu does not dominate lam, every top
     weight dominates lam, so no weight slice of M survives: one zero degree
     is stored, the length counts as 0 and top_dims is None.  Raises
-    ResourceLimitError when a stored degree needs more than ``max_basis``
-    chains or basis elements (raw chain counts are capped too, since even
-    zero-dimensional summands cost their enumeration), or when the stored
-    degrees' chains do not all get an int32 number.  The chain layout
+    ResourceLimitError when the stored degrees together hold more than
+    ``MAX_COMPLEX_SIZE`` chains or basis elements (raw chains count too,
+    since even zero-dimensional summands cost their enumeration); below
+    that bound every stored chain has an int32 number.  The chain layout
     refuses itself past ``shapes.MAX_LAYOUT_ROWS``.
     """
     check_prime(p)
@@ -262,17 +276,13 @@ def _plan(lam: Composition, mu: Composition, p: int, target: str, max_degree, ma
     report = natural if max_degree is None else max_degree
     counts = space.profiles[:, : min(natural, report + 1) + 1]
     top_dims = _top_dims(space.tops, mu, p, target)
-    # basis sizes as Python ints: a chain count may be near the ceiling
-    raws, totals = counts.sum(axis=0).tolist(), (top_dims.astype(object) @ counts).tolist()
-    for k, (raw, total) in enumerate(zip(raws, totals)):
-        if max(raw, total) > max_basis:
-            raise ResourceLimitError(
-                f"degree {k} needs {raw} chains and {total} basis elements, "
-                f"exceeding the cap {max_basis}"
-            )
-    if space.chain_starts[len(totals)] == INT32_MAX:
+    # sizes as Python ints: a chain count may be near the ceiling
+    chains = sum(counts.sum(axis=0).tolist())
+    totals = (top_dims.astype(object) @ counts).tolist()
+    if max(chains, sum(totals)) > MAX_COMPLEX_SIZE:
         raise ResourceLimitError(
-            f"degrees 0 to {len(totals) - 1} need {sum(raws)} chains, past their int32 numbers"
+            f"degrees 0 to {len(totals) - 1} need {chains} chains and {sum(totals)} basis "
+            f"elements, exceeding the cap {MAX_COMPLEX_SIZE}"
         )
     return report, natural, totals, top_dims
 
@@ -283,12 +293,11 @@ def build_hom_complex(
     p: int,
     target: str = "weyl",
     max_degree: int | None = None,
-    max_basis: int = MAX_BASIS_DEFAULT,
 ) -> HomComplex:
     """Hom(chain resolution of lam, M) with M the Weyl module of mu
     (target="weyl") or its simple head (target="simple")."""
     lam, mu = _check_pair(lam, mu)
-    report, natural, totals, top_dims = _plan(lam, mu, p, target, max_degree, max_basis)
+    report, natural, totals, top_dims = _plan(lam, mu, p, target, max_degree)
     if top_dims is None:
         return HomComplex(lam, mu, p, target, report, 0, [_EMPTY], [0], [])
     space = chain_space(lam)
@@ -312,7 +321,6 @@ def compute_ext(
     p: int,
     target: str = "weyl",
     max_degree: int | None = None,
-    max_basis: int = MAX_BASIS_DEFAULT,
 ) -> tuple[list[int], bool | None]:
     """Ext dims of (lam, M) as ``build_hom_complex`` gives them, with the
     Euler check's verdict (None when it does not apply, see ``euler_check``).
@@ -327,10 +335,10 @@ def compute_ext(
     lam, mu = _check_pair(lam, mu)
     check_prime(p)
     if linked(lam, mu, p):
-        complex_ = build_hom_complex(lam, mu, p, target, max_degree, max_basis)
+        complex_ = build_hom_complex(lam, mu, p, target, max_degree)
         applicable, holds = euler_check(complex_)
         return complex_.ext_dims(), holds if applicable else None
-    report, natural, totals, _ = _plan(lam, mu, p, target, max_degree, max_basis)
+    report, natural, totals, _ = _plan(lam, mu, p, target, max_degree)
     holds = sum((-1) ** k * d for k, d in enumerate(totals)) == 0
     return [0] * (report + 1), holds if len(totals) > natural else None
 
@@ -348,10 +356,17 @@ def hom_dim_oracle(lam, mu, p: int) -> int:
     lam + t alpha_i one.  Those slices are read only when the weight-lam
     slice is nonzero, and then all of them are built together; when it is
     zero, nothing is built and the dimension is 0.  Raises
-    ResourceLimitError first if their relations have more than
-    ``MAX_RELATION_ENTRIES`` generator entries, built or not."""
+    ResourceLimitError first if lam has more than ``MAX_RELATION_FAMILIES``
+    families, or if their relations have more than ``MAX_RELATION_ENTRIES``
+    generator entries, built or not."""
     lam, mu = _check_pair(lam, mu)
     check_prime(p)
+    families = sum(lam[1:])  # one per (i, t <= lam_{i+1})
+    if families > MAX_RELATION_FAMILIES:
+        raise ResourceLimitError(
+            f"the Hom oracle needs {families} relation families, exceeding the cap "
+            f"{MAX_RELATION_FAMILIES}"
+        )
     n = len(lam)
     rhos = []
     for family in box_presentation(lam):

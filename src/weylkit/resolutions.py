@@ -81,33 +81,37 @@ def sy_arrows(chain: tuple[Matrix, ...], p: int) -> list[tuple]:
 
 
 def _merge_table(space: ChainSpace, p: int, degrees: int):
-    """(pair_start, indptr, merged, coeffs): the products of the pairs of
-    steps that meet in a chain of degree < ``degrees``, a step a and a step
-    b out of the weight a reaches.  Pair ``pair_start[a] + b - first[target
-    of a]`` has the terms of xi_a . xi_b, in the order of
-    ``xi_product_terms``, as merged step ids and coefficients in
-    ``merged[indptr[i]:indptr[i+1]]`` and ``coeffs[...]``.
+    """(pair_start, live_index, indptr, merged, coeffs): the products of
+    the pairs of steps that meet in a chain of degree < ``degrees``, a step
+    a and a live step b out of the weight a reaches.
 
-    Only the pairs whose second step reaches a weight with a chain of length
-    <= degrees - 3 down to lam are multiplied; the others meet in no such
-    chain and are left without products.  All of them are multiplied in one
-    call of the batched dynamic program ``schur._xi_products``, and one
-    numbering of the steps and merged matrices together
-    (``shapes.number_rows``) maps the merged matrices to step ids.
+    A step is live when it reaches a weight with a chain of length
+    <= degrees - 3 down to lam: every step after the first of a chain of
+    degree < degrees is, and no other step is the second of a pair that
+    meets in one.  ``live_index[b]`` counts the live steps before b out of
+    its weight, which numbers the live ones from 0, and pair
+    ``pair_start[a] + live_index[b]`` has the terms of xi_a . xi_b, in the
+    order of ``xi_product_terms``, as merged step ids and coefficients in
+    ``merged[indptr[i]:indptr[i+1]]`` and ``coeffs[...]``.  All of them are
+    multiplied in one call of the batched dynamic program
+    ``schur._xi_products``, and one numbering of the steps and merged
+    matrices together (``shapes.number_rows``) maps the merged matrices to
+    step ids.
     """
     n = len(space.lam)
     steps = np.array(space.steps, dtype=np.int64).reshape(-1, n, n)
-    # per step a, the number of steps b that can follow it, and the pairs
-    followers = np.diff(space.first)[space.step_target]
+    live = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target]
+    # the live steps before each step, and before each top's first
+    before = np.concatenate(([0], np.cumsum(live)))
+    live_first = before[space.first]
+    source = np.repeat(np.arange(len(space.tops)), np.diff(space.first))
+    live_index = before[:-1] - live_first[source]
+    # per step a, the number of live steps b that can follow it, and the pairs
+    followers = np.diff(live_first)[space.step_target]
     pair_start = np.cumsum(followers) - followers
     a = np.repeat(np.arange(len(steps)), followers)
-    b = expand_ranges(space.first[space.step_target], followers)
-    reaches = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target]
-    live = np.flatnonzero(reaches[b])
-    starts, terms, coeffs = _xi_products(steps[a[live]], steps[b[live]], p)
-    sizes = np.zeros(len(a), dtype=np.int64)
-    sizes[live] = np.diff(starts)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    b = np.flatnonzero(live)[expand_ranges(live_first[space.step_target], followers)]
+    indptr, terms, coeffs = _xi_products(steps[a], steps[b], p)
     # every merged matrix is a step out of a's weight: number the steps and
     # the merged matrices together, and raise on a number held by no step
     distinct, ids = number_rows(np.concatenate((steps, terms)).reshape(-1, n * n))
@@ -117,10 +121,10 @@ def _merge_table(space: ChainSpace, p: int, degrees: int):
     if (merged < 0).any():
         missing = terms[np.flatnonzero(merged < 0)[:1]]
         raise KeyError(f"{decode_matrices(missing)[0]} is not a step of the chains of {space.lam}")
-    return pair_start, indptr, merged, coeffs
+    return pair_start, live_index, indptr, merged, coeffs
 
 
-def _degree_arrows(space: ChainSpace, k: int, p: int, pair_start, indptr, merged,
+def _degree_arrows(space: ChainSpace, k: int, p: int, pair_start, live_index, indptr, merged,
                    coeffs) -> tuple[np.ndarray, ...]:
     """The arrows out of the degree-k chains, k >= 1, as ``chain_arrows``
     lists them, from the merge table of ``_merge_table``."""
@@ -141,7 +145,7 @@ def _degree_arrows(space: ChainSpace, k: int, p: int, pair_start, indptr, merged
         base = starts[k - 1] + space.starts[k - 1][tops]
         for i in range(1, k):
             a, b = chains[:, i - 1], chains[:, i]
-            pair = pair_start[a] + b - space.first[space.step_target[a]]
+            pair = pair_start[a] + live_index[b]
             sizes = indptr[pair + 1] - indptr[pair]
             entries = expand_ranges(indptr[pair], sizes)
             source = np.repeat(np.arange(n), sizes)

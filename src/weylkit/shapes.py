@@ -125,10 +125,26 @@ def enumerate_compositions(n: int, r: int) -> tuple[Composition, ...]:
     return tuple(_compositions_bounded(r, (r,) * n))
 
 
+def _partitions_bounded(total: int, parts: int, cap: int) -> Iterator[Composition]:
+    # Descending-lex generation of the partitions of total into exactly
+    # ``parts`` parts (zeros included), each at most cap.
+    if not parts:
+        if total == 0:
+            yield ()
+        return
+    # the rest holds at most head * (parts - 1), which bounds the head from below
+    for head in range(min(total, cap), -(-total // parts) - 1, -1):
+        for rest in _partitions_bounded(total - head, parts - 1, head):
+            yield (head,) + rest
+
+
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int, r: int) -> tuple[Composition, ...]:
-    """All partitions of r with at most n parts (padded to length n)."""
-    return tuple(a for a in enumerate_compositions(n, r) if is_partition(a))
+    """All partitions of r with at most n parts (padded to length n), in
+    descending lexicographic order, each generated directly."""
+    if n < 1 or r < 0:
+        raise ValueError("need n >= 1 and r >= 0")
+    return tuple(_partitions_bounded(r, n, r))
 
 
 def enumerate_dominating(lam) -> list[Composition]:
@@ -412,12 +428,22 @@ def sst_indices(mu: Composition, alpha: Composition) -> np.ndarray:
     return keep.nonzero()[0]
 
 
+def _check_degree(r: int):
+    """Raise ValueError when a degree r, a total of nonnegative parts,
+    passes the int64 range of the engine's arrays; a degree inside it keeps
+    every part inside it."""
+    if r > INT64_MAX:
+        raise ValueError(f"degree {r} exceeds the 64-bit integer range")
+
+
 def _check_weight(mu, alpha) -> tuple[Composition, Composition]:
-    """(mu, alpha) as tuples, alpha a weight of the partition mu's length and total."""
+    """(mu, alpha) as tuples, alpha a weight of the partition mu's length and
+    total, which fits int64."""
     mu = validate_partition(mu)
     alpha = validate_composition(alpha)
     if len(alpha) != len(mu) or sum(alpha) != sum(mu):
         raise ValueError(f"weight {alpha} incompatible with shape {mu}")
+    _check_degree(sum(mu))
     return mu, alpha
 
 
@@ -536,8 +562,7 @@ def _dominating_array(lam: Composition) -> np.ndarray:
     shift of lam's first part.
     """
     r = sum(lam)
-    if r > INT64_MAX:
-        raise ValueError(f"degree {r} exceeds the 64-bit integer range")
+    _check_degree(r)
     parts = np.zeros((1, 0), dtype=np.int64)
     sums = np.zeros(1, dtype=np.int64)
     for floor in accumulate(lam):

@@ -120,19 +120,25 @@ def numbered_grid():
 
 def merge_table_by_pairs(space, p: int, degrees: int):
     """``resolutions._merge_table`` made pair by pair: ``xi_product_terms``
-    for each pair of steps, and a dict from matrix to step id for the
-    merged steps.  The reference for the batched table."""
+    for each step a and each live step b out of the weight a reaches, and a
+    dict from matrix to step id for the merged steps.  The reference for
+    the batched table."""
     step_index = {w: s for s, w in enumerate(space.steps)}
-    # per step a, the number of steps b that can follow it
-    followers = np.diff(space.first)[space.step_target]
-    pair_start = np.cumsum(followers) - followers
-    reaches = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target].tolist()
-    sizes, merged, coeffs = [], [], []
+    live = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target].tolist()
+    # per top, its live steps in order; per step, the live steps before it
+    # out of its weight
+    live_out = [[b for b in range(space.first[t], space.first[t + 1]) if live[b]]
+                for t in range(len(space.tops))]
+    live_index = np.array([sum(live[space.first[t] : b]) for t in range(len(space.tops))
+                           for b in range(space.first[t], space.first[t + 1])], dtype=np.int64)
+    pair_start, sizes, merged, coeffs = [], [], [], []
     for w, t in zip(space.steps, space.step_target.tolist()):
-        for b in range(space.first[t], space.first[t + 1]):
-            terms = xi_product_terms(w, space.steps[b], p) if reaches[b] else ()
+        pair_start.append(len(sizes))
+        for b in live_out[t]:
+            terms = xi_product_terms(w, space.steps[b], p)
             sizes.append(len(terms))
             merged.extend(step_index[m] for m, _ in terms)
             coeffs.extend(c for _, c in terms)
     indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-    return pair_start, indptr, np.array(merged, dtype=np.int64), np.array(coeffs, dtype=np.int64)
+    return (np.array(pair_start, dtype=np.int64), live_index, indptr,
+            np.array(merged, dtype=np.int64), np.array(coeffs, dtype=np.int64))

@@ -117,9 +117,9 @@ def test_usage_error_exit_code(capsys):
     assert (code, out) == (2, "") and "prime" in err
 
 
-def test_resource_cap_exit_code(capsys):
-    code, _, err = run(capsys, "ext", "--p", "2", "--lambda", "2,1", "--mu", "3",
-                       "--max-basis", "0")
+def test_resource_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(weylkit.ext, "MAX_COMPLEX_SIZE", 0)
+    code, _, err = run(capsys, "ext", "--p", "2", "--lambda", "2,1", "--mu", "3")
     assert code == 3 and "cap" in err
 
 
@@ -129,10 +129,14 @@ def test_resource_cap_exit_code(capsys):
     ("kostka", "--mu", "2,1", "--alpha", "1,1,1", "--cache-dir", "x"),
     ("kostka", "--mu", "2,1", "--alpha", "1,1,1", "--format", "json"),
     ("survey", "--p", "2", "--r", "2", "--format", "table"),
-], ids=["verify-max-basis", "kostka-cache-dir", "kostka-format", "survey-format"])
+    ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--max-basis", "0"),
+    ("survey", "--p", "2", "--r", "2", "--max-basis", "0"),
+], ids=["verify-max-basis", "kostka-cache-dir", "kostka-format", "survey-format",
+        "ext-max-basis", "survey-max-basis"])
 def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
-    # verify builds no capped complex, kostka writes no cache record and
-    # prints one number whatever the format, survey always writes JSON lines
+    # no command takes a size cap (each Hom complex is held to one constant),
+    # kostka writes no cache record and prints one number whatever the
+    # format, survey always writes JSON lines
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -203,7 +207,7 @@ def test_survey_streams_records_before_a_failure(capsys, monkeypatch):
     assert pairs == [([2, 0], [2, 0]), ([1, 1], [2, 0])]
 
 
-def test_survey_progress_on_stderr(tmp_path, capsys):
+def test_survey_progress_on_stderr(tmp_path, capsys, monkeypatch):
     # at p = 3, (1, 1) and (2) are unlinked: residues {0, 2} against {1, 1}
     argv = ("survey", "--p", "3", "--r", "2", "--n", "2", "--cache-dir", str(tmp_path))
     code, out, err = run(capsys, *argv)
@@ -216,7 +220,8 @@ def test_survey_progress_on_stderr(tmp_path, capsys):
                for line in out.splitlines())
     code, _, err = run(capsys, *argv)
     assert [line.rsplit(", ", 1)[1] for line in err.splitlines()] == ["cached"] * 3
-    code, out, err = run(capsys, *argv[:-2], "--max-basis", "0")
+    monkeypatch.setattr(weylkit.ext, "MAX_COMPLEX_SIZE", 0)
+    code, out, err = run(capsys, *argv[:-2])
     assert code == 0 and out == ""
     assert [line.rsplit(", ", 1)[1] for line in err.splitlines()] == ["skipped: cap"] * 3
 
@@ -446,6 +451,69 @@ def test_hom_bound_past_the_relation_entry_cap(capsys, deadline):
                          "--lambda", "5,5,5,5", "--mu", "5,5,5,5")
     assert code == 3 and out == ""
     assert err.startswith("resource cap:")
+
+
+@pytest.mark.parametrize("rows", [100_000, 300_000, 2**40])
+def test_hom_bound_past_the_relation_family_cap(capsys, deadline, rows):
+    # (rows, rows) has rows relation families, listed one at a time before
+    # any entry was counted, and against a one-row mu they have no entries:
+    # 100,000 took 37 s, and the larger ones ran out of memory
+    code, out, err = run(capsys, "verify", "--theorem", "6.1", "--p", "2", "--d", "1",
+                         "--lambda", f"{rows},{rows}", "--mu", f"{2 * rows},0")
+    assert code == 3 and out == ""
+    assert err == (f"resource cap: the Hom oracle needs {rows} relation families, "
+                   f"exceeding the cap {weylkit.ext.MAX_RELATION_FAMILIES}")
+
+
+PAST_INT64 = str(2**63)
+
+
+@pytest.mark.parametrize("argv", [
+    ("kostka", "--mu", PAST_INT64, "--alpha", PAST_INT64),
+    ("gram", "--p", "2", "--mu", PAST_INT64, "--alpha", PAST_INT64),
+    ("p-kostka", "--p", "2", "--mu", PAST_INT64, "--alpha", PAST_INT64),
+    ("verify", "--theorem", "6.1", "--p", "2", "--d", "1", "--lambda", f"{2**63 - 1},1",
+     "--mu", PAST_INT64),
+], ids=lambda argv: argv[0])
+def test_parts_past_int64_are_usage_errors(capsys, deadline, argv):
+    # each used to end as exit 4, "internal error: OverflowError"
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: degree {PAST_INT64} exceeds the 64-bit integer range")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "1.1.1", "--lambda", "20,20", "--mu", "40", "--p", "2", "--d", "30"),
+    ("ext", "--p", "2", "--lambda", "20,20", "--mu", "40"),
+    ("ext", "--p", "2", "--lambda", "4,4,4,4", "--mu", "16"),
+], ids=["verify-20,20", "ext-20,20", "ext-4^4"])
+def test_complexes_past_the_size_cap_are_refused_early(capsys, deadline, argv):
+    # (20,20) has 2^20 chains over its 21 degrees, at most 184,756 in one:
+    # the verify took 40 s at 1.3 GB while the cap judged one degree at a
+    # time; (4,4,4,4) has 3.6e14 chains
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"resource cap: degrees 0 to \d+ need \d+ chains and \d+ basis elements, "
+                        rf"exceeding the cap {weylkit.ext.MAX_COMPLEX_SIZE}", err)
+
+
+def test_survey_of_a_large_rank_starts(capsys, deadline, monkeypatch):
+    # the 135 partitions of 14 used to be filtered from all 20,058,300
+    # compositions of 14 into 14 parts, made as tuples: no pair was
+    # reached in 30 s, and memory passed 1 GB; stop after the first pair
+    run_cached = weylkit.cli._run_cached
+    calls = []
+
+    def second_stops(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError()
+        return run_cached(*args)
+
+    monkeypatch.setattr(weylkit.cli, "_run_cached", second_stops)
+    code, out, err = run(capsys, "survey", "--p", "2", "--r", "14", "--n", "14")
+    assert code == 3 and len(out.splitlines()) == 1
+    top = ",".join(["14"] + ["0"] * 13)
+    assert re.fullmatch(rf"survey 1/7775 {top} -> {top}: \d+ ms, built", err.splitlines()[0])
 
 
 def test_hom_bound_of_a_non_dominated_pair_builds_no_slice(capsys, monkeypatch):
@@ -875,27 +943,6 @@ def test_rank_below_one_is_usage_error(capsys, argv, n):
     code, out, err = run(capsys, *argv, "--n", n)
     assert code == 2 and out == ""
     assert "--n must be at least 1" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ("ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--max-basis", "-1"),
-    ("survey", "--p", "2", "--r", "2", "--max-basis", "-3"),
-], ids=["ext-max-basis", "survey-max-basis"])
-def test_negative_size_cap_is_usage_error(capsys, argv):
-    # a negative cap used to end as a resource cap (exit 3), or in survey as
-    # every pair skipped with exit 0
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
-    assert "must be nonnegative" in captured.err
-
-
-def test_zero_size_caps_stay_valid(capsys):
-    code, _, err = run(capsys, "ext", "--p", "2", "--lambda", "2,1", "--mu", "3", "--max-basis", "0")
-    assert code == 3 and "cap" in err
-    code, out, err = run(capsys, "survey", "--p", "2", "--r", "2", "--max-basis", "0")
-    assert (code, out) == (0, "") and "skipped: cap" in err
 
 
 @pytest.mark.parametrize("argv", [

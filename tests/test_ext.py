@@ -23,6 +23,7 @@ from weylkit.ext import (
 from weylkit.linalg import SparseMod
 from weylkit.resolutions import _merge_table, chain_arrows, is_hook, sy_arrows, sy_degree
 from weylkit.shapes import (
+    INT32_MAX,
     ChainSpace,
     chain_space,
     contingency_array,
@@ -404,18 +405,36 @@ def test_hook_complex_input_validation():
         build_hook_hom_complex(2, 1, (2, 1, 1), 2)  # degree mismatch
 
 
-def test_resource_caps():
+def test_resource_caps(monkeypatch):
     with pytest.raises(ResourceLimitError, match="chain layout"):
         build_hom_complex((3, 3, 3, 3, 3), (15, 0, 0, 0, 0), 2)
+    monkeypatch.setattr(weylkit.ext, "MAX_COMPLEX_SIZE", 0)
     with pytest.raises(ResourceLimitError):
-        build_hom_complex((2, 1, 0), (3, 0, 0), 2, max_basis=0)
+        build_hom_complex((2, 1, 0), (3, 0, 0), 2)
+
+
+def test_complex_size_cap_edge(monkeypatch):
+    # the cap bounds the chains and the basis elements summed over every
+    # stored degree; (3,2,1) -> (4,2,0) stores all 5 degrees
+    lam, mu = (3, 2, 1), (4, 2, 0)
+    chains = int(chain_space(lam).profiles.sum())
+    basis = sum(build_hom_complex(lam, mu, 3).dims)
+    assert (chains, basis) == (40, 8)
+    monkeypatch.setattr(weylkit.ext, "MAX_COMPLEX_SIZE", chains)
+    assert sum(build_hom_complex(lam, mu, 3).dims) == basis
+    monkeypatch.setattr(weylkit.ext, "MAX_COMPLEX_SIZE", chains - 1)
+    with pytest.raises(ResourceLimitError, match=f"degrees 0 to 4 need {chains} chains and "
+                       f"{basis} basis elements, exceeding the cap {chains - 1}"):
+        build_hom_complex(lam, mu, 3)
 
 
 def test_chains_past_int32_numbers_are_refused():
-    # (4,4,4,4) has 3.6e14 chains in degrees 0..24, which a basis cap this
-    # large admits degree by degree; their int32 numbers used to wrap
-    with pytest.raises(ResourceLimitError, match="past their int32 numbers"):
-        build_hom_complex((4, 4, 4, 4), (16, 0, 0, 0), 2, max_basis=10**15)
+    # (4,4,4,4) has 3.6e14 chains in degrees 0..24, past their int32
+    # numbers, which used to wrap; a cap below INT32_MAX on the chains of
+    # the whole complex refuses it, and any complex past those numbers
+    assert weylkit.ext.MAX_COMPLEX_SIZE < INT32_MAX
+    with pytest.raises(ResourceLimitError, match="degrees 0 to 24 need .* exceeding the cap"):
+        build_hom_complex((4, 4, 4, 4), (16, 0, 0, 0), 2)
 
 
 def test_max_degree_extends_with_zeros():
@@ -503,11 +522,12 @@ def test_linked_pairs_take_the_full_build():
             assert applicable
 
 
-def test_unlinked_pairs_keep_the_size_caps():
+def test_unlinked_pairs_keep_the_size_caps(monkeypatch):
     # (2, 1) -> (3) is unlinked at p = 2: residues {1, 1} against {0, 0}
     assert not linked((2, 1), (3, 0), 2)
+    monkeypatch.setattr(weylkit.ext, "MAX_COMPLEX_SIZE", 0)
     with pytest.raises(ResourceLimitError):
-        compute_ext((2, 1), (3, 0), 2, max_basis=0)
+        compute_ext((2, 1), (3, 0), 2)
     with pytest.raises(ValueError):
         compute_ext((2, 1), (3, 0), 2, max_degree=-1)
 

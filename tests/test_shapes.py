@@ -25,6 +25,7 @@ from weylkit.shapes import (
     enumerate_theta,
     format_composition,
     format_tableau,
+    is_partition,
     kostka,
     linked,
     matrix_margins,
@@ -102,6 +103,18 @@ def test_enumerate_compositions_count():
     for n in (1, 2, 3, 4):
         for r in range(6):
             assert len(enumerate_compositions(n, r)) == math.comb(r + n - 1, n - 1)
+
+
+def test_partitions_are_the_partitioned_compositions():
+    # generated directly: filtering the compositions listed all C(27, 13)
+    # of them for n = r = 14, which took minutes and gigabytes
+    for n in range(1, 7):
+        for r in range(10):
+            expected = tuple(a for a in enumerate_compositions(n, r) if is_partition(a))
+            assert enumerate_partitions.__wrapped__(n, r) == expected, (n, r)
+    assert len(enumerate_partitions.__wrapped__(14, 14)) == 135
+    with pytest.raises(ValueError):
+        enumerate_partitions.__wrapped__(0, 2)
 
 
 def test_enumerate_strictly_dominating():
