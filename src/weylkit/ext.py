@@ -11,7 +11,6 @@ A build reads each action block from the memo of ``weyl``, which holds it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -34,6 +33,7 @@ from .shapes import (
     _shifted,
     chain_space,
     contingency_array,
+    decode_matrices,
     dominates,
     expand_ranges,
     kostka,
@@ -41,19 +41,19 @@ from .shapes import (
     margin2,
     pad,
     plus_shift_composition,
-    plus_shift_matrix,
+    sst_indices,
     validate_partition,
 )
-from .weyl import act_matrix, act_matrix_simple, build_weight_space, build_weight_spaces, gram_data
+from .weyl import act_matrix, act_matrix_simple, build_weight_spaces, gram_data
 
 # Most chains, and most basis elements, that one Hom complex may hold over
 # all its stored degrees, each sum counted before anything is built.  An
-# ext build peaks at 0.5-0.7 KB per chain over an idle run's 34 MB
-# ((1^5) -> (5): 267,998 chains, 215 MB; (6,6,3) -> (15) at p=3: 348,160
-# chains, 261 MB), so a complex the cap admits stays near 0.4 GB.  A 1.1.1
-# verify holds two and compares their bases: (20,20) -> (40) at d=30 to
-# degree 8, 431,910 chains a side, peaks at 851 MB.  Far below INT32_MAX,
-# so every stored chain has an int32 number.
+# ext build peaks at 0.5-0.7 KB per chain over an idle run's 33 MB
+# ((1^5) -> (5): 267,998 chains, 210 MB; (6,6,3) -> (15) at p=3: 348,160
+# chains, 257 MB), so a complex the cap admits stays near 0.4 GB.  A 1.1.1
+# verify holds two and compares their bases as arrays: (20,20) -> (40) at
+# d=30 to degree 8, 431,910 chains a side, peaks at 341 MB.  Far below
+# INT32_MAX, so every stored chain has an int32 number.
 MAX_COMPLEX_SIZE = 500_000
 # Largest accepted max_degree, far above any resolution length: along a chain
 # of length k down to lam, the top at place j dominates the j tops below it,
@@ -199,10 +199,11 @@ def _assemble(top_dims, summand_tops, starts, arrows, steps, mu: Composition, p:
     ``arrows`` is (rows, cols, keys, scalars), ordered by the degree of
     their row: each arrow runs from summand ``rows[i]`` to summand
     ``cols[i]`` one degree lower, and its block is the action matrix of
-    ``steps[key]``, or for key ``len(steps) + t`` the identity on the slice
-    of top t, times its scalar.  Arrows with a zero-dimensional end are
-    dropped before any block is made.  Returns (summands, dims, diffs) in
-    the layout of ``HomComplex``.
+    ``steps[key]`` of the (m, n, n) array ``steps``, or for key ``m + t``
+    the identity on the slice of top t, times its scalar.  Arrows with a
+    zero-dimensional end are dropped before any block is made, and only the
+    steps in use are decoded to the tuples ``weyl``'s action memo is keyed
+    on.  Returns (summands, dims, diffs) in the layout of ``HomComplex``.
     """
     rows, cols, keys, scalars = arrows
     width = top_dims[summand_tops]
@@ -216,15 +217,15 @@ def _assemble(top_dims, summand_tops, starts, arrows, steps, mu: Composition, p:
         # the nonzero (rows, cols, vals) of each block in use, before its scalar:
         # a step's action matrix, held in weyl's memo, or the identity on a slice
         used, slot = np.unique(keys[live], return_inverse=True)
+        split = int(used.searchsorted(len(steps)))
         act = act_matrix if target == "weyl" else act_matrix_simple
         blocks = []
-        for key in used.tolist():
-            if key < len(steps):
-                block = act(steps[key], mu, p)
-                blocks.append((*block.nonzero(), block[block != 0]))
-            else:
-                diagonal = np.arange(top_dims[key - len(steps)])
-                blocks.append((diagonal, diagonal, np.ones_like(diagonal)))
+        for w in decode_matrices(steps[used[:split]]):
+            block = act(w, mu, p)
+            blocks.append((*block.nonzero(), block[block != 0]))
+        for t in (used[split:] - len(steps)).tolist():
+            diagonal = np.arange(top_dims[t])
+            blocks.append((diagonal, diagonal, np.ones_like(diagonal)))
         r, c, v = map(np.concatenate, zip(*blocks))
         sizes = np.array([len(block[0]) for block in blocks], dtype=np.int64)
         firsts = np.cumsum(sizes) - sizes
@@ -303,14 +304,8 @@ def build_hom_complex(
     space = chain_space(lam)
     degrees = len(totals)
     summands, dims, diffs = _assemble(
-        top_dims,
-        space.chain_tops(degrees),
-        space.chain_starts[: degrees + 1],
-        chain_arrows(lam, p, degrees),
-        space.steps,
-        mu,
-        p,
-        target,
+        top_dims, space.chain_tops(degrees), space.chain_starts[: degrees + 1],
+        chain_arrows(lam, p, degrees), space.steps, mu, p, target,
     )
     return HomComplex(lam, mu, p, target, report, natural, summands, dims, diffs)
 
@@ -357,8 +352,8 @@ def hom_dim_oracle(lam, mu, p: int) -> int:
     slice is nonzero, and then all of them are built together; when it is
     zero, nothing is built and the dimension is 0.  Raises
     ResourceLimitError first if lam has more than ``MAX_RELATION_FAMILIES``
-    families, or if their relations have more than ``MAX_RELATION_ENTRIES``
-    generator entries, built or not."""
+    families, or at the first slice whose relations take the count of
+    generator entries, built or not, past ``MAX_RELATION_ENTRIES``."""
     lam, mu = _check_pair(lam, mu)
     check_prime(p)
     families = sum(lam[1:])  # one per (i, t <= lam_{i+1})
@@ -383,10 +378,11 @@ def hom_dim_oracle(lam, mu, p: int) -> int:
     for weight in dict.fromkeys(weights):
         columns = contingency_array(weight, mu)[:, :, 1:].astype(np.int64)
         entries += int(((columns + 1).prod(axis=1) - 1).sum())
-    if entries > MAX_RELATION_ENTRIES:
-        raise ResourceLimitError(
-            f"the Hom oracle needs {entries} relation entries, exceeding the cap {MAX_RELATION_ENTRIES}"
-        )
+        if entries > MAX_RELATION_ENTRIES:
+            raise ResourceLimitError(
+                f"the Hom oracle needs {entries} relation entries or more, "
+                f"exceeding the cap {MAX_RELATION_ENTRIES}"
+            )
     if not nonzero:
         return 0
     model = build_weight_spaces([(mu, weight) for weight in weights], p)[0]
@@ -534,21 +530,6 @@ def verify_hom_bound(lam, mu, p: int, d: int) -> dict:
 # entrywise complex isomorphism under the canonical degree-raising bijections
 
 
-def _basis_elements(complex_: HomComplex, k: int) -> list[tuple[tuple, tuple]]:
-    """Flat degree-k basis of a Weyl-target chain complex as (chain,
-    tableau counts) pairs, in basis order: each summand's slice has the
-    semistandard tableaux of its top as basis, read off the slice's model."""
-    space = chain_space(complex_.lam)
-    chains = space.layer(k)[0]
-    starts = space.starts[k].tolist()  # a chain's top is the block it falls in
-    mu, p = complex_.mu, complex_.p
-    return [
-        (tuple(map(space.steps.__getitem__, chains[index].tolist())), t.counts)
-        for index in complex_.summands[k].tolist()
-        for t in build_weight_space(mu, space.tops[bisect_right(starts, index) - 1], p).sst
-    ]
-
-
 def verify_complex_isomorphism(
     here: HomComplex, there: HomComplex, d: int, hypotheses: dict
 ) -> dict:
@@ -561,19 +542,37 @@ def verify_complex_isomorphism(
     listed by one rule, descending lex on flattened tuples, and the shift
     adds the same p^d to the leading entry of every element it compares.  So
     ``here``'s shifted basis must equal ``there``'s element for element, and
-    then the differentials must be equal as they stand.
+    then the differentials must be equal as they stand.  The bases are
+    compared as arrays: the shifted tops, steps and chain counts of
+    ``here``'s chain layout, which fix every chain's step ids; the summands
+    of every degree; and the shifted tableaux of every top in use.
 
     The bijections are defined when ``hypotheses``, the preset 1.1.1 flags,
     all hold; the caller makes sure they do, and the report carries them.
     """
-    p = here.p
+    q = _shifted(0, d, here.p)
+    space, image = chain_space(here.lam), chain_space(there.lam)
+    tops, steps = np.array(space.tops, dtype=np.int64), space.steps.copy()
+    tops[:, 0] += q
+    steps[:, 0, 0] += q
+    for name, ours, theirs in (("tops", tops, image.tops), ("steps", steps, image.steps),
+                               ("chain counts", space.profiles, image.profiles)):
+        if not np.array_equal(ours, theirs):
+            message = f"shifted layout differs from the shifted pair's in its {name}: no basis matches"
+            raise TheoremViolationError(message, {"layout": name})
     degrees = min(here.stored_degrees(), there.stored_degrees())
+    checked = set()
     for k in range(degrees):
-        shifted = [
-            (tuple(plus_shift_matrix(w, d, p) for w in chain), plus_shift_matrix(counts, d, p))
-            for chain, counts in _basis_elements(here, k)
-        ]
-        if shifted != _basis_elements(there, k):
+        same = np.array_equal(here.summands[k], there.summands[k])
+        # the tops of this degree's summands that no earlier degree had
+        owners = space.starts[k].searchsorted(here.summands[k], side="right") - 1
+        for t in set(owners.tolist()) - checked:
+            checked.add(t)
+            ours, theirs = (contingency_array(top, mu)[sst_indices(mu, top)].astype(np.int64)
+                            for top, mu in ((space.tops[t], here.mu), (image.tops[t], there.mu)))
+            ours[:, 0, 0] += q
+            same = same and np.array_equal(ours, theirs)
+        if not same:
             raise TheoremViolationError(
                 f"shifted basis differs from the shifted pair's basis in degree {k}",
                 {"degree": k},
@@ -644,14 +643,8 @@ def build_hook_hom_complex(a: int, b: int, mu, p: int) -> HomComplex:
     # the rows of each differential come after those of the one before
     table = np.array(arrows, dtype=np.int64).reshape(-1, 4).T
     summands, dims, diffs = _assemble(
-        _top_dims(tops, mu, p, "weyl"),
-        np.arange(len(tops)),
-        starts,
-        table,
-        list(steps),
-        mu,
-        p,
-        "weyl",
+        _top_dims(tops, mu, p, "weyl"), np.arange(len(tops)), starts, table,
+        np.array(list(steps), dtype=np.int64).reshape(-1, n, n), mu, p, "weyl",
     )
     return HomComplex(lam, mu, p, "weyl", b, b, summands, dims, diffs)
 
@@ -698,31 +691,21 @@ def hook_ext_crosscheck(
             d_full += 1
         shift_ds = (1,) if d_full == 1 else (1, d_full)
     shifted = []
+    base_dims = hook.ext_dims()
     for d in shift_ds:
         pd = p**d
-        base_dims = hook.ext_dims()
         other = build_hook_hom_complex(_shifted(a, d, p), b, plus_shift_composition(mu, d, p), p)
         other_dims = other.ext_dims()
-        rows = []
-        for i in range(b + 1):
-            rows.append(
-                {
-                    "degree": i,
-                    "stated": pd > i,
-                    "supported": pd > min(i + 1, b),
-                    "equal": base_dims[i] == other_dims[i],
-                }
-            )
-        shifted.append(
-            {
-                "d": d,
-                "ext_dims": base_dims,
-                "shifted_ext_dims": other_dims,
-                "degrees": rows,
-                "stated_bound_holds": all(r["equal"] for r in rows if r["stated"]),
-                "supported_bound_holds": all(r["equal"] for r in rows if r["supported"]),
-            }
-        )
+        rows = [{"degree": i, "stated": pd > i, "supported": pd > min(i + 1, b),
+                 "equal": base_dims[i] == other_dims[i]} for i in range(b + 1)]
+        shifted.append({
+            "d": d,
+            "ext_dims": base_dims,
+            "shifted_ext_dims": other_dims,
+            "degrees": rows,
+            "stated_bound_holds": all(r["equal"] for r in rows if r["stated"]),
+            "supported_bound_holds": all(r["equal"] for r in rows if r["supported"]),
+        })
 
     report = {
         "a": a,

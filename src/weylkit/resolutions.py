@@ -98,8 +98,7 @@ def _merge_table(space: ChainSpace, p: int, degrees: int):
     matrices together (``shapes.number_rows``) maps the merged matrices to
     step ids.
     """
-    n = len(space.lam)
-    steps = np.array(space.steps, dtype=np.int64).reshape(-1, n, n)
+    n, steps = len(space.lam), space.steps
     live = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target]
     # the live steps before each step, and before each top's first
     before = np.concatenate(([0], np.cumsum(live)))

@@ -44,6 +44,7 @@ import numpy as np
 from .fparith import binom_array, binom_table, check_prime, multinom_mod
 from .shapes import (
     Matrix,
+    _check_degree,
     contingency_array,
     diagonal_matrix,
     enumerate_compositions,
@@ -238,6 +239,7 @@ def xi_product(w, pi, p: int) -> SchurElement:
     pi = validate_matrix(pi, len(w))
     check_prime(p)
     n, r = len(w), matrix_total(w)
+    _check_degree(r)
     return SchurElement(n, r, p, xi_product_terms(w, pi, p))
 
 

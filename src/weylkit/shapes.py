@@ -222,6 +222,14 @@ def _row_table(total: int, bounds: Composition) -> np.ndarray:
     return table
 
 
+# Most pairs of a partial matrix and a candidate row that one row of
+# ``contingency_array`` tests, counted first; no array it makes has more rows.
+# A build peaks at 83 bytes a pair over an idle 30 MB at n = 3 in int64
+# ((3000,1500,1500) by (3600,2400,0): 3.6 million pairs, 315 MB) and 21-46 at
+# n = 4, so an array the cap admits stays near 0.45 GB.
+MAX_CONTINGENCY_PAIRS = 5_000_000
+
+
 @lru_cache(maxsize=None)
 def contingency_array(row_sums: Composition, col_sums: Composition) -> np.ndarray:
     """All nonnegative integer matrices with the given row and column sums,
@@ -236,7 +244,8 @@ def contingency_array(row_sums: Composition, col_sums: Composition) -> np.ndarra
     column sums keeps a shifted row sum r + p^d from listing all of its
     compositions.  Partial matrices stay in descending-lex order and each
     one's candidates come in descending-lex order, so the whole array is
-    descending-lex.
+    descending-lex.  Raises ResourceLimitError before a row that would
+    test more than ``MAX_CONTINGENCY_PAIRS`` (partial matrix, row) pairs.
 
     Its dtype is uint8 while the total is below 256 and int64 beyond.  The
     weight slices of ``weyl`` read it as their monomial basis, and the
@@ -254,6 +263,9 @@ def contingency_array(row_sums: Composition, col_sums: Composition) -> np.ndarra
         picks: list[np.ndarray] = []  # per row but the last, the candidate of each matrix
         for total in row_sums[:-1]:
             table = _row_table(total, col_sums)
+            if (pairs := len(budget) * len(table)) > MAX_CONTINGENCY_PAIRS:
+                message = f"matrices of margins {row_sums}, {col_sums} need {pairs} (partial, row) pairs"
+                raise ResourceLimitError(f"{message}, exceeding the cap {MAX_CONTINGENCY_PAIRS}")
             state, pick = np.nonzero((table[None, :, :] <= budget[:, None, :]).all(axis=2))
             picks = [earlier[state] for earlier in picks] + [pick]
             budget = budget[state] - table[pick]
@@ -518,10 +530,10 @@ def number_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Most rows that one array of a chain layout may hold: the tops, the
 # candidates for one matrix row, the partial matrices after each row, and the
-# steps, each counted before it is made.  A layout peaks at about 1.3 KB per
-# step at n = 4, 1.5 KB at n = 5 and 2.6 KB at n = 7 over an idle run's
-# 29 MB, most of it the steps as tuples ((1^7) has 150,719 steps and peaks
-# at 418 MB), so a layout the cap admits stays near 0.55 GB for n <= 7.
+# steps, each counted before it is made.  A layout peaks at about 0.4 KB per
+# step at n = 4, 0.6 KB at n = 5 and 1.0 KB at n = 7 over an idle run's
+# 30 MB ((4,4,4,4) has 92,080 steps and peaks at 68 MB, (1^7) 150,719 and
+# 179 MB), so a layout the cap admits stays near 0.25 GB for n <= 7.
 MAX_LAYOUT_ROWS = 200_000
 # Chain counts are held at this ceiling, so that a sum of at most
 # MAX_LAYOUT_ROWS of them stays inside int64: over the steps of a layout,
@@ -630,11 +642,11 @@ class ChainSpace:
 
     The chain resolution of lam has one degree-k summand per length-k chain
     from one of ``tops``: lam itself (the empty chain), then the weights
-    strictly dominating it.  The steps are numbered: ``steps[s]`` is the
-    matrix of step s, the steps out of ``tops[t]`` are the ids
-    ``first[t]:first[t+1]`` in descending-lex order, and ``step_target[s]``
-    is the index of the top that step s reaches.  Only steps whose column
-    sum still dominates lam are kept: no other step reaches lam.
+    strictly dominating it.  The steps are numbered: step s is the matrix
+    ``steps[s]`` of a read-only (m, n, n) int64 array, the steps out of
+    ``tops[t]`` are the ids ``first[t]:first[t+1]`` in descending-lex
+    order, and ``step_target[s]`` is the index of the top step s reaches.
+    Only the steps whose column sum still dominates lam reach it and are kept.
 
     ``profiles[t, k]`` counts the length-k chains from ``tops[t]``, which
     gives both the counts used for cheap resource estimates and the
@@ -658,10 +670,10 @@ class ChainSpace:
         matrices, owner = _step_array(self.lam, np.array(self.tops, dtype=np.int64))
         # drop each top's first matrix, its diagonal one
         blocks = np.searchsorted(owner, np.arange(len(self.tops) + 1))
-        table = np.delete(matrices, blocks[:-1], axis=0)
-        self.steps: list[Matrix] = [tuple(map(tuple, w)) for w in table.tolist()]
+        self.steps = np.delete(matrices, blocks[:-1], axis=0)
+        self.steps.flags.writeable = False
         self.first = blocks - np.arange(len(self.tops) + 1)
-        targets = map(tuple, table.sum(axis=1).tolist())
+        targets = map(tuple, self.steps.sum(axis=1).tolist())
         self.step_target = np.array([self.top_index[b] for b in targets], dtype=np.int64)
 
         counts = [np.zeros(len(self.tops), dtype=np.int64)]
@@ -725,7 +737,10 @@ class ChainSpace:
         if t is None or self.count(alpha, k) == 0:
             return ()
         block = self.layer(k)[0][self.starts[k, t] : self.starts[k, t + 1]]
-        return tuple(tuple(map(self.steps.__getitem__, chain)) for chain in block.tolist())
+        # each step in use decoded once, its tuple shared by every chain
+        ids = np.unique(block).tolist()
+        matrices = dict(zip(ids, decode_matrices(self.steps[ids])))
+        return tuple(tuple(map(matrices.__getitem__, chain)) for chain in block.tolist())
 
     def max_length(self) -> int:
         """Largest k for which some chain exists from a top down to lam."""

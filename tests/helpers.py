@@ -1,17 +1,21 @@
 """Small helpers that only the tests read."""
 
 import itertools
+from bisect import bisect_right
 
 import numpy as np
 
 from weylkit.schur import xi_product_terms
 from weylkit.shapes import (
+    chain_space,
+    decode_matrices,
     dominates,
     enumerate_compositions,
     enumerate_partitions,
     plus_shift_composition,
     plus_shift_matrix,
 )
+from weylkit.weyl import build_weight_space
 
 
 def is_upper_triangular(w) -> bool:
@@ -123,7 +127,8 @@ def merge_table_by_pairs(space, p: int, degrees: int):
     for each step a and each live step b out of the weight a reaches, and a
     dict from matrix to step id for the merged steps.  The reference for
     the batched table."""
-    step_index = {w: s for s, w in enumerate(space.steps)}
+    steps = decode_matrices(space.steps)
+    step_index = {w: s for s, w in enumerate(steps)}
     live = space.profiles[:, : degrees - 2].any(axis=1)[space.step_target].tolist()
     # per top, its live steps in order; per step, the live steps before it
     # out of its weight
@@ -132,13 +137,45 @@ def merge_table_by_pairs(space, p: int, degrees: int):
     live_index = np.array([sum(live[space.first[t] : b]) for t in range(len(space.tops))
                            for b in range(space.first[t], space.first[t + 1])], dtype=np.int64)
     pair_start, sizes, merged, coeffs = [], [], [], []
-    for w, t in zip(space.steps, space.step_target.tolist()):
+    for w, t in zip(steps, space.step_target.tolist()):
         pair_start.append(len(sizes))
         for b in live_out[t]:
-            terms = xi_product_terms(w, space.steps[b], p)
+            terms = xi_product_terms(w, steps[b], p)
             sizes.append(len(terms))
             merged.extend(step_index[m] for m, _ in terms)
             coeffs.extend(c for _, c in terms)
     indptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
     return (np.array(pair_start, dtype=np.int64), live_index, indptr,
             np.array(merged, dtype=np.int64), np.array(coeffs, dtype=np.int64))
+
+
+def basis_elements(complex_, k: int) -> list[tuple[tuple, tuple]]:
+    """Flat degree-k basis of a Weyl-target chain complex as (chain,
+    tableau counts) pairs, in basis order, spelled out in tuples: each
+    summand's chain is its row of step ids decoded from
+    ``ChainSpace.steps``, and its slice has the semistandard tableaux of its
+    top as basis, read off the slice's model."""
+    space = chain_space(complex_.lam)
+    chains = space.layer(k)[0]
+    starts = space.starts[k].tolist()  # a chain's top is the block it falls in
+    mu, p = complex_.mu, complex_.p
+    return [
+        (decode_matrices(space.steps[chains[index]]), t.counts)
+        for index in complex_.summands[k].tolist()
+        for t in build_weight_space(mu, space.tops[bisect_right(starts, index) - 1], p).sst
+    ]
+
+
+def tuple_bases_match(here, there, d: int) -> bool:
+    """Whether ``here``'s basis in every degree both complexes store, each
+    step and tableau with p^d added at (1,1), is ``there``'s element for
+    element, with both spelled out by ``basis_elements``."""
+    p = here.p
+    for k in range(min(here.stored_degrees(), there.stored_degrees())):
+        shifted = [
+            (tuple(plus_shift_matrix(w, d, p) for w in chain), plus_shift_matrix(counts, d, p))
+            for chain, counts in basis_elements(here, k)
+        ]
+        if shifted != basis_elements(there, k):
+            return False
+    return True

@@ -1,7 +1,6 @@
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -362,22 +361,6 @@ def test_verify_hook_records_pinned(capsys, argv, expected):
     assert json.dumps(json.loads(out)["result"]) == expected
 
 
-@pytest.fixture
-def deadline(request):
-    """Fail the test once it has run for 10 s (or the seconds passed by an
-    indirect parametrize), rather than let it hang."""
-    seconds = getattr(request, "param", 10)
-
-    def expire(signum, frame):
-        pytest.fail(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 # ``result`` payloads of the two presets without a size cap at a shift of
 # 2^40, which used to take time linear in p^d: 66 s at d = 24 for 6.1
 SHIFT_40_RECORDS = [
@@ -474,11 +457,26 @@ PAST_INT64 = str(2**63)
     ("p-kostka", "--p", "2", "--mu", PAST_INT64, "--alpha", PAST_INT64),
     ("verify", "--theorem", "6.1", "--p", "2", "--d", "1", "--lambda", f"{2**63 - 1},1",
      "--mu", PAST_INT64),
+    ("schur-mul", "--p", "2", "--omega", f"{PAST_INT64},0/0,0", "--pi", f"{PAST_INT64},0/0,0"),
 ], ids=lambda argv: argv[0])
 def test_parts_past_int64_are_usage_errors(capsys, deadline, argv):
     # each used to end as exit 4, "internal error: OverflowError"
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: degree {PAST_INT64} exceeds the 64-bit integer range")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--theorem", "6.1", "--p", "3", "--d", "1", "--lambda", "1000,500,500",
+     "--mu", "1200,800,0"),
+    ("kostka", "--mu", "12000,8000,0", "--alpha", "10000,5000,5000"),
+], ids=["verify-6.1", "kostka"])
+def test_large_weight_slices_are_refused_early(capsys, deadline, argv):
+    # the verify counted all 1,001 slices' relation entries before the cap,
+    # holding 9.4 GB of slices, and the kostka tested 40 million pairs of a
+    # partial matrix and a row at once; both ended in MemoryError
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("resource cap:")
 
 
 @pytest.mark.parametrize("argv", [

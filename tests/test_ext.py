@@ -17,6 +17,7 @@ from weylkit.ext import (
     euler_check,
     hom_dim_oracle,
     hook_ext_crosscheck,
+    verify_complex_isomorphism,
     verify_hom_bound,
     verify_periodicity,
 )
@@ -33,11 +34,20 @@ from weylkit.shapes import (
     linked,
     matrix_margins,
     pad,
+    plus_shift_composition,
+    sst_indices,
     transpose_matrix,
 )
 from weylkit.weyl import _sub_vectors, act_matrix, act_matrix_simple
 
-from helpers import dominated_pairs, merge_table_by_pairs, numbered_grid, to_dense
+from helpers import (
+    basis_elements,
+    dominated_pairs,
+    merge_table_by_pairs,
+    numbered_grid,
+    to_dense,
+    tuple_bases_match,
+)
 
 
 def test_complex_dims_worked_example():
@@ -106,6 +116,19 @@ def test_hom_oracle_caps_the_relation_entries_of_every_slice(monkeypatch):
         monkeypatch.setattr(weylkit.ext, "MAX_RELATION_ENTRIES", entries - 1)
         with pytest.raises(ResourceLimitError, match=f"needs {entries} relation entries"):
             hom_dim_oracle(lam, mu, p)
+
+
+@pytest.mark.parametrize("deadline", [2], indirect=True)
+def test_hom_oracle_stops_at_the_first_slice_past_the_entry_cap(monkeypatch, deadline):
+    # the first of the 1,001 slices of (1000,500,500) -> (1200,800,0) has
+    # 2.4e12 entries; counting every slice before the check held 9.4 GB of
+    # them and ended in MemoryError
+    counted = []
+    monkeypatch.setattr(weylkit.ext, "contingency_array",
+                        lambda *margins: counted.append(margins) or contingency_array(*margins))
+    with pytest.raises(ResourceLimitError, match=r"needs 2395384571490 relation entries"):
+        hom_dim_oracle((1000, 500, 500), (1200, 800, 0), 3)
+    assert counted == [((1000, 500, 500), (1200, 800, 0))]
 
 
 def test_hom_oracle_builds_nothing_for_a_zero_weight_slice(monkeypatch):
@@ -313,6 +336,66 @@ def test_complex_isomorphism_rejects_a_reordered_basis(monkeypatch):
         verify_periodicity(*case)
     assert set(exc.value.report) == {"degree"}
     assert len(calls) == 2
+
+
+def _isomorphism_case(lam, mu, p, d):
+    """(here, there, flags): the two Weyl-target complexes of a pair and its
+    shift by p^d, and the 1.1.1 flags, which must all hold."""
+    flags = check_hypotheses(lam, mu, p, d, "1.1.1")
+    assert flags["all_hold"]
+    there = build_hom_complex(plus_shift_composition(lam, d, p), plus_shift_composition(mu, d, p), p)
+    return build_hom_complex(lam, mu, p), there, flags
+
+
+def test_complex_isomorphism_rejects_an_altered_step(monkeypatch):
+    here, there, flags = _isomorphism_case((2, 1, 1), (4, 0, 0), 3, 1)
+    assert verify_complex_isomorphism(here, there, 1, flags)["all_equal"]
+    altered = ChainSpace(there.lam)
+    steps = altered.steps.copy()
+    steps[-1, 0, 1] += 1
+    altered.steps = steps
+    monkeypatch.setattr(weylkit.ext, "chain_space",
+                        lambda lam: altered if lam == there.lam else chain_space(lam))
+    with pytest.raises(TheoremViolationError, match="basis") as exc:
+        verify_complex_isomorphism(here, there, 1, flags)
+    assert exc.value.report == {"layout": "steps"}
+
+
+def test_complex_isomorphism_rejects_reordered_tableaux(monkeypatch):
+    # the degree-0 summand's top, lam, has two tableaux of shape mu
+    here, there, flags = _isomorphism_case((2, 1, 1), (3, 1, 0), 3, 1)
+    assert verify_complex_isomorphism(here, there, 1, flags)["all_equal"]
+    top = there.lam
+    assert len(sst_indices(there.mu, top)) == 2
+
+    def reordered(mu, alpha):
+        positions = sst_indices(mu, alpha)
+        return positions[::-1] if (mu, alpha) == (there.mu, top) else positions
+
+    monkeypatch.setattr(weylkit.ext, "sst_indices", reordered)
+    with pytest.raises(TheoremViolationError, match="basis") as exc:
+        verify_complex_isomorphism(here, there, 1, flags)
+    assert exc.value.report == {"degree": 0}
+
+
+def test_array_basis_check_agrees_with_the_tuple_bases():
+    # on the numbered grid, wherever the 1.1.1 hypotheses hold, the arrays
+    # compared pass exactly where the bases spelled out in tuples are equal
+    cases = 0
+    for lam, mu, p in numbered_grid():
+        for d in (1, 2):
+            flags = check_hypotheses(lam, mu, p, d, "1.1.1")
+            if not flags["all_hold"]:
+                continue
+            here, there, _ = _isomorphism_case(lam, mu, p, d)
+            try:
+                passed = verify_complex_isomorphism(here, there, d, flags)["all_equal"]
+            except TheoremViolationError as exc:
+                assert "basis" in str(exc), (lam, mu, p, d)
+                passed = False
+            assert passed == tuple_bases_match(here, there, d), (lam, mu, p, d)
+            cases += 1
+    assert cases == 1465
 
 
 def test_periodicity_exhaustive_small_grid():
@@ -647,7 +730,7 @@ def test_numbered_differentials_match_the_per_chain_arrows():
                 if target == "weyl" and max_degree is None:
                     # the basis the isomorphism check compares, against sy_degree
                     for k in range(hc.stored_degrees()):
-                        assert weylkit.ext._basis_elements(hc, k) == [
+                        assert basis_elements(hc, k) == [
                             (chain, t.counts)
                             for top, chain in sy_degree(lam, k)
                             for t in enumerate_sst(mu, top)

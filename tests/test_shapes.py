@@ -267,6 +267,32 @@ def test_contingency_array_is_read_only():
     assert contingency_array((2, 1, 1), (2, 2, 0)) is array
 
 
+def test_contingency_array_cap_edge(monkeypatch, deadline):
+    # before each row but the last, its partial matrices times its candidate
+    # rows: the partial matrices are those of the earlier rows with the rest
+    # lumped into one row, and each candidate row has one completion
+    rows, cols = (3, 2, 2, 1), (4, 2, 2, 0)
+    pairs = max(
+        len(contingency_by_rows(rows[:j] + (sum(rows[j:]),), cols))
+        * len(contingency_by_rows((rows[j], sum(cols) - rows[j]), cols))
+        for j in range(len(rows) - 1)
+    )
+    expected = [list(map(list, w)) for w in contingency_by_rows(rows, cols)]
+    monkeypatch.setattr(weylkit.shapes, "MAX_CONTINGENCY_PAIRS", pairs)
+    assert contingency_array.__wrapped__(rows, cols).tolist() == expected
+    monkeypatch.setattr(weylkit.shapes, "MAX_CONTINGENCY_PAIRS", pairs - 1)
+    with pytest.raises(ResourceLimitError, match=rf"need {pairs} \(partial, row\) pairs, exceeding the cap {pairs - 1}$"):
+        contingency_array.__wrapped__(rows, cols)
+
+
+@pytest.mark.parametrize("deadline", [2], indirect=True)
+def test_kostka_past_the_contingency_cap_is_refused_early(deadline):
+    # 8,001 first rows, each tested against 5,001 candidates for the second:
+    # the test ran to 1.09 GB and 2.1 s before it ended in MemoryError
+    with pytest.raises(ResourceLimitError, match="need 40013001 "):
+        kostka((12000, 8000, 0), (10000, 5000, 5000))
+
+
 def test_enumerate_omega_margins_and_determinism():
     for alpha in enumerate_compositions(3, 3):
         for beta in enumerate_compositions(3, 3):
@@ -514,7 +540,8 @@ def test_chain_space_matches_the_product_and_filter_layout():
     for lam in _layout_grid():
         space = chain_space(lam)
         tops, steps, first, step_target, profiles = chain_layout(lam)
-        assert space.tops == tops and space.steps == steps, lam
+        assert space.steps.dtype == np.int64 and not space.steps.flags.writeable, lam
+        assert space.tops == tops and list(decode_matrices(space.steps)) == steps, lam
         for got, want in ((space.first, first), (space.step_target, step_target),
                           (space.profiles, profiles)):
             assert got.dtype == want.dtype and np.array_equal(got, want), lam
@@ -531,7 +558,9 @@ def test_chain_space_shift_adds_p_to_the_d_at_one_one():
                 for p, d in ((2, 40), (5, 20), (3, 2)):
                     shifted = chain_space(plus_shift_composition(lam, d, p))
                     assert shifted.tops == tuple(plus_shift_composition(a, d, p) for a in space.tops)
-                    assert shifted.steps == [plus_shift_matrix(w, d, p) for w in space.steps]
+                    assert list(decode_matrices(shifted.steps)) == [
+                        plus_shift_matrix(w, d, p) for w in decode_matrices(space.steps)
+                    ]
                     for name in ("first", "step_target", "profiles"):
                         assert np.array_equal(getattr(shifted, name), getattr(space, name)), lam
 
@@ -569,7 +598,7 @@ def test_layout_cap_edge(monkeypatch):
     tops, steps, *_ = chain_layout(lam)
     rows = len(steps) + len(tops)
     monkeypatch.setattr(weylkit.shapes, "MAX_LAYOUT_ROWS", rows)
-    assert ChainSpace(lam).steps == steps
+    assert list(decode_matrices(ChainSpace(lam).steps)) == steps
     monkeypatch.setattr(weylkit.shapes, "MAX_LAYOUT_ROWS", rows - 1)
     with pytest.raises(ResourceLimitError, match=f"needs {rows} partial steps, exceeding the cap {rows - 1}"):
         ChainSpace(lam)
