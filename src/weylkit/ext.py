@@ -34,11 +34,11 @@ from .shapes import (
     chain_space,
     contingency_array,
     decode_matrices,
+    diagonal_matrix,
     dominates,
     expand_ranges,
     kostka,
     linked,
-    margin2,
     pad,
     plus_shift_composition,
     sst_indices,
@@ -62,16 +62,11 @@ MAX_COMPLEX_SIZE = 500_000
 # keeps k at most 631.  Degrees past the length only add zeros to ext_dims.
 MAX_DEGREE = 100_000
 # Most box-relation generator entries one Hom oracle call builds, over all
-# the slices it requests.  A build peaks at about 165 bytes per entry over
-# an idle run's 34 MB (verify 6.1 of (4,4,4,4) at p=3 reads 2.79 million on
-# its shifted side and peaks at 488 MB), so a call the cap admits stays
-# near 0.7 GB.
+# the slices it requests, counted before the p-power filter.  A call peaks
+# at 95 (p=3) to 117 (p=2) bytes per entry over an idle 30 MB (the shifted
+# side of verify 6.1 of (4,4,4,4): 2.27 million entries and 296 MB at p=2),
+# so a call the cap admits stays near 0.5 GB.
 MAX_RELATION_ENTRIES = 4_000_000
-# Most relation families, sum(lam[1:]), one Hom oracle call lists.  Each
-# costs about 0.2 ms and 3 KB in Python before any entry is counted, and on
-# a one-row mu it adds no entries: verify 6.1 of (10000,10000) -> (20000),
-# two calls of 10,000 families, takes 4.2 s and peaks at 97 MB.
-MAX_RELATION_FAMILIES = 10_000
 
 
 class TheoremViolationError(AssertionError):
@@ -343,37 +338,23 @@ def compute_ext(
 
 
 def hom_dim_oracle(lam, mu, p: int) -> int:
-    """dim Hom(Weyl(lam), Weyl(mu)) computed from the box presentation of lam:
-    the vectors in the weight-lam slice of Weyl(mu) killed by every relation
-    family, by left exactness of Hom(-, Weyl(mu)).
+    """dim Hom(Weyl(lam), Weyl(mu)) computed from the box presentation of lam
+    over F_p: the vectors in the weight-lam slice of Weyl(mu) killed by
+    every relation family, by left exactness of Hom(-, Weyl(mu)).
 
-    The family (i, t) acts from the weight-lam slice to the weight
-    lam + t alpha_i one.  Those slices are read only when the weight-lam
-    slice is nonzero, and then all of them are built together; when it is
-    zero, nothing is built and the dimension is 0.  Raises
-    ResourceLimitError first if lam has more than ``MAX_RELATION_FAMILIES``
-    families, or at the first slice whose relations take the count of
-    generator entries, built or not, past ``MAX_RELATION_ENTRIES``."""
+    The family (i, t), t a power of p, acts from the weight-lam slice to
+    its ``source`` slice, of weight lam + t alpha_i.  Those slices are read
+    only when the weight-lam slice is nonzero, and then all of them are
+    built together; when it is zero, nothing is built and the dimension is
+    0.  Raises ResourceLimitError at the first slice whose relations take
+    the count of generator entries, built or not, past
+    ``MAX_RELATION_ENTRIES``."""
     lam, mu = _check_pair(lam, mu)
-    check_prime(p)
-    families = sum(lam[1:])  # one per (i, t <= lam_{i+1})
-    if families > MAX_RELATION_FAMILIES:
-        raise ResourceLimitError(
-            f"the Hom oracle needs {families} relation families, exceeding the cap "
-            f"{MAX_RELATION_FAMILIES}"
-        )
-    n = len(lam)
-    rhos = []
-    for family in box_presentation(lam):
-        i0 = family.i - 1
-        rho = [[lam[s] if s == c else 0 for c in range(n)] for s in range(n)]
-        rho[i0][i0 + 1] = family.t
-        rho[i0 + 1][i0 + 1] -= family.t
-        rhos.append(tuple(map(tuple, rho)))
+    families = box_presentation(lam, p)
     nonzero = kostka(mu, lam) > 0
-    weights = [lam] + [margin2(rho) for rho in rhos] if nonzero else [lam]
+    weights = [lam] + [family.source for family in families] if nonzero else [lam]
     # a generator entry is a monomial w, a row pair i and a nonzero vector
-    # v <= column i+1 of w, as ``weyl._box_relations`` lists them
+    # v <= column i+1 of w, as ``weyl._box_relations`` lists them first
     entries = 0
     for weight in dict.fromkeys(weights):
         columns = contingency_array(weight, mu)[:, :, 1:].astype(np.int64)
@@ -386,8 +367,14 @@ def hom_dim_oracle(lam, mu, p: int) -> int:
     if not nonzero:
         return 0
     model = build_weight_spaces([(mu, weight) for weight in weights], p)[0]
-    if not rhos:
+    if not families:
         return model.dim
+    rhos = []
+    for family in families:  # rows i - 1 and i, counted from 0
+        rho = [list(row) for row in diagonal_matrix(lam)]
+        rho[family.i - 1][family.i] = family.t
+        rho[family.i][family.i] -= family.t
+        rhos.append(tuple(map(tuple, rho)))
     stacked = np.vstack([act_matrix(rho, mu, p) for rho in rhos])
     return model.dim - rank_mod(stacked, p)
 
@@ -486,9 +473,10 @@ def verify_periodicity(
     Both sides are computed in full (or to ``max_degree``).  When the
     hypotheses hold and any degree differs, a TheoremViolationError is
     raised: the statement guarantees equality, so a mismatch is a bug.  For
-    the Weyl target with the hypotheses satisfied, the same two complexes are
-    then compared entrywise (``verify_complex_isomorphism``), and that report
-    is added under "isomorphism".
+    the Weyl target with the hypotheses satisfied, the two complexes are
+    first compared entrywise (``verify_complex_isomorphism``), and that
+    report is added under "isomorphism".  Once they are equal matrices,
+    the shifted side takes the ranks of the unshifted one.
     """
     lam, mu = _check_pair(lam, mu)
     theorem = "1.1.1" if target == "weyl" else "1.1.2"
@@ -497,6 +485,10 @@ def verify_periodicity(
     lam_s = plus_shift_composition(lam, d, p)
     mu_s = plus_shift_composition(mu, d, p)
     there = build_hom_complex(lam_s, mu_s, p, target, max_degree)
+    isomorphism = None
+    if target == "weyl" and flags["all_hold"]:
+        isomorphism = verify_complex_isomorphism(here, there, d, flags)
+        there._ranks = here.diff_ranks()
     report = _shift_report(
         {"lambda": list(lam), "mu": list(mu), "p": p, "d": d, "target": target,
          "theorem": theorem, "hypotheses": flags},
@@ -505,8 +497,8 @@ def verify_periodicity(
         {"shifted_lambda": list(lam_s), "shifted_mu": list(mu_s)},
         f"periodicity failed with hypotheses satisfied: {lam} -> {mu}, p={p}, d={d}",
     )
-    if target == "weyl" and flags["all_hold"]:
-        report["isomorphism"] = verify_complex_isomorphism(here, there, d, flags)
+    if isomorphism is not None:
+        report["isomorphism"] = isomorphism
     return report
 
 

@@ -37,6 +37,15 @@ def check_prime(p: int) -> int:
     return p
 
 
+def p_powers(p: int, most: int) -> tuple[int, ...]:
+    """The powers 1, p, p^2, ... of a prime p up to ``most``: by Lucas, every
+    divided power E^(t) over F_p is a unit times a product of the E^(p^j)."""
+    powers = []
+    while (q := p ** len(powers)) <= most:
+        powers.append(q)
+    return tuple(powers)
+
+
 def _digit_binom_mod(a: int, b: int, p: int) -> int:
     # a, b < p, so every factor stays below p^2 < 2^32.
     if b > a:

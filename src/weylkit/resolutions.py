@@ -14,8 +14,8 @@
 * The hook resolution P_*(a, b) for lam = (a, 1^b): degree i is a sum of
   divided-power modules indexed by positive compositions with first part in
   [a, a+i]; the differential splits one tensor factor in two.
-* The two-step box presentation that realises the Weyl module as a quotient
-  of D(lam).
+* The two-step box presentation over F_p, a relation family per row pair
+  and power of p, that realises the Weyl module as a quotient of D(lam).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fparith import check_prime
+from .fparith import check_prime, p_powers
 from .schur import _xi_products, xi_product_terms
 from .shapes import (
     ChainSpace,
@@ -240,20 +240,22 @@ def hook_resolution(a: int, b: int) -> HookResolution:
 
 class BoxFamily(NamedTuple):
     """One relation family of the box presentation: split t boxes off row
-    i+1 of lam into row i (1-based rows i, i+1)."""
+    i+1 of lam into row i (1-based rows i, i+1), t a power of p."""
 
     i: int
     t: int
     source: Composition  # the divided-power module D(source) mapping in
 
 
-def box_presentation(lam) -> list[BoxFamily]:
-    """Generator data of the two-step presentation of the Weyl module of lam."""
+def box_presentation(lam, p: int) -> list[BoxFamily]:
+    """Generator data of the two-step presentation of the Weyl module of lam
+    over F_p: t runs over ``fparith.p_powers(p, lam_{i+1})`` alone."""
+    check_prime(p)
     lam = validate_partition(lam)
     n = len(lam)
     families = []
     for i in range(n - 1):
-        for t in range(1, lam[i + 1] + 1):
+        for t in p_powers(p, lam[i + 1]):
             gamma = list(lam)
             gamma[i] += t
             gamma[i + 1] -= t

@@ -222,6 +222,20 @@ def _row_table(total: int, bounds: Composition) -> np.ndarray:
     return table
 
 
+def _count_bounded(total: int, bounds: Composition) -> int:
+    """len(_row_table(total, bounds)), counted without listing a row: by
+    inclusion-exclusion over the parts pushed past their bounds, the sum of
+    c * C(total - e + n - 1, n - 1) over the terms c x^e of
+    prod_i (1 - x^(bounds_i + 1)) with e <= total, in exact Python ints."""
+    terms = {0: 1}
+    for bound in bounds:
+        for e, c in list(terms.items()):
+            if e + bound + 1 <= total:
+                terms[e + bound + 1] = terms.get(e + bound + 1, 0) - c
+    n = len(bounds)
+    return sum(c * comb(total - e + n - 1, n - 1) for e, c in terms.items())
+
+
 # Most pairs of a partial matrix and a candidate row that one row of
 # ``contingency_array`` tests, counted first; no array it makes has more rows.
 # A build peaks at 83 bytes a pair over an idle 30 MB at n = 3 in int64
@@ -245,7 +259,8 @@ def contingency_array(row_sums: Composition, col_sums: Composition) -> np.ndarra
     compositions.  Partial matrices stay in descending-lex order and each
     one's candidates come in descending-lex order, so the whole array is
     descending-lex.  Raises ResourceLimitError before a row that would
-    test more than ``MAX_CONTINGENCY_PAIRS`` (partial matrix, row) pairs.
+    test more than ``MAX_CONTINGENCY_PAIRS`` (partial matrix, row) pairs,
+    its candidates counted (``_count_bounded``) before any is listed.
 
     Its dtype is uint8 while the total is below 256 and int64 beyond.  The
     weight slices of ``weyl`` read it as their monomial basis, and the
@@ -262,10 +277,10 @@ def contingency_array(row_sums: Composition, col_sums: Composition) -> np.ndarra
         tables: list[np.ndarray] = []  # per row but the last
         picks: list[np.ndarray] = []  # per row but the last, the candidate of each matrix
         for total in row_sums[:-1]:
-            table = _row_table(total, col_sums)
-            if (pairs := len(budget) * len(table)) > MAX_CONTINGENCY_PAIRS:
+            if (pairs := len(budget) * _count_bounded(total, col_sums)) > MAX_CONTINGENCY_PAIRS:
                 message = f"matrices of margins {row_sums}, {col_sums} need {pairs} (partial, row) pairs"
                 raise ResourceLimitError(f"{message}, exceeding the cap {MAX_CONTINGENCY_PAIRS}")
+            table = _row_table(total, col_sums)
             state, pick = np.nonzero((table[None, :, :] <= budget[:, None, :]).all(axis=2))
             picks = [earlier[state] for earlier in picks] + [pick]
             budget = budget[state] - table[pick]

@@ -2,10 +2,10 @@
 
 A Weyl module of highest weight mu is realised as the quotient of the
 divided-power module D(mu) by the span of the box relations: for each
-adjacent pair of rows (i, i+1) and each 1 <= t <= mu_{i+1}, the generators
-of D(mu_1, ..., mu_i + t, mu_{i+1} - t, ...) map in by splitting t boxes off
-row i (coefficient-free comultiplication of divided powers) and merging them
-into row i+1 (multiplication, which contributes binomial coefficients).
+adjacent pair of rows (i, i+1) and each t = p^j <= mu_{i+1} (over F_p they
+span the relations of every 1 <= t <= mu_{i+1}, ``fparith.p_powers``), the
+generators of D(..., mu_i + t, mu_{i+1} - t, ...) map in by splitting t boxes
+off row i (comultiplication) and merging them into row i+1 (multiplication).
 
 Everything is computed one weight at a time.  The weight-alpha slice of
 D(mu) has the divided monomials as basis, indexed by matrices with column
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fparith import binom_array, binom_mod, check_prime
+from .fparith import binom_array, binom_mod, check_prime, p_powers
 from .linalg import SparseMod, _pivots, rref_mod
 from .schur import _xi_states
 from .shapes import (
@@ -168,13 +168,13 @@ def _box_relations(slices: list[tuple[Composition, Composition]], p: int) -> lis
 
     Each slice gets a ``SparseMod`` over F_p with one row per relation
     generator, in monomial coordinates.  The rows run over the row pairs
-    (i, i+1), then t, then the generators of D(..., mu_i + t, mu_{i+1} - t,
-    ...) in descending lex order.
+    (i, i+1), then t in ``fparith.p_powers``, then the generators of
+    D(..., mu_i + t, mu_{i+1} - t, ...) in descending lex order.
 
     The generator rho reaches the monomial w when w is rho with some v,
     |v| = t, moved from column i to column i+1, with coefficient
     prod_s C(w[s][i+1], v_s).  So the nonzero v <= column i+1 of w list
-    every (generator, image) pair once, read off the monomials in bulk.
+    every (generator, image) pair once, in bulk; only |v| = p^j is kept.
 
     The slice leads every generator's key, so one ``np.unique`` numbers the
     generators of all slices, each slice's in a block of its own.
@@ -191,9 +191,11 @@ def _box_relations(slices: list[tuple[Composition, Composition]], p: int) -> lis
     # one row per (monomial w, row pair i): column i+1 of w, as w[s][i+1]
     col_next = cube[:, :, 1:].transpose(0, 2, 1).reshape(m * (n - 1), n)
     owner, moved = _sub_vectors(col_next)
-    w, i = np.divmod(owner, n - 1)
     # column i+1 of w holds at most mu[1] boxes
     top = max(mu[1] for mu, _ in slices)
+    keep = np.isin(moved.sum(axis=1), np.array(p_powers(p, top), dtype=np.int64))
+    owner, moved = owner[keep], moved[keep]
+    w, i = np.divmod(owner, n - 1)
     factors = binom_array(col_next[owner], moved, p)
     coeff = factors[:, 0]
     for k in range(1, n):

@@ -5,17 +5,21 @@ from bisect import bisect_right
 
 import numpy as np
 
+from weylkit.linalg import rank_mod
+from weylkit.resolutions import BoxFamily
 from weylkit.schur import xi_product_terms
 from weylkit.shapes import (
     chain_space,
     decode_matrices,
+    diagonal_matrix,
     dominates,
     enumerate_compositions,
     enumerate_partitions,
+    kostka,
     plus_shift_composition,
     plus_shift_matrix,
 )
-from weylkit.weyl import build_weight_space
+from weylkit.weyl import act_matrix, build_weight_space
 
 
 def is_upper_triangular(w) -> bool:
@@ -179,3 +183,37 @@ def tuple_bases_match(here, there, d: int) -> bool:
         if shifted != basis_elements(there, k):
             return False
     return True
+
+
+def every_t_families(lam) -> list[BoxFamily]:
+    """The box presentation of lam with a family for every 1 <= t <=
+    lam_{i+1}, in ``resolutions.box_presentation``'s order: the full
+    presentation over the integers, whose relations the p-power families
+    span over F_p."""
+    lam = tuple(lam)
+    return [BoxFamily(i + 1, t, lam[:i] + (lam[i] + t, lam[i + 1] - t) + lam[i + 2:])
+            for i in range(len(lam) - 1) for t in range(1, lam[i + 1] + 1)]
+
+
+def box_rho(lam, family: BoxFamily):
+    """diag(lam) with t moved from (i+1, i+1) to (i, i+1): xi of it maps the
+    weight-lam slice to the family's source slice."""
+    rho = [list(row) for row in diagonal_matrix(tuple(lam))]
+    rho[family.i - 1][family.i] = family.t
+    rho[family.i][family.i] -= family.t
+    return tuple(map(tuple, rho))
+
+
+def hom_dim_oracle_every_t(lam, mu, p: int) -> int:
+    """``ext.hom_dim_oracle`` with every family of ``every_t_families``, one
+    act_matrix per family, and no cap: the vectors of the weight-lam slice
+    of Weyl(mu) killed by every E_i^(t), t <= lam_{i+1}.  lam and mu are
+    partitions of one length."""
+    if not kostka(mu, lam):
+        return 0
+    model = build_weight_space(tuple(mu), tuple(lam), p)
+    families = every_t_families(lam)
+    if not families:
+        return model.dim
+    stacked = np.vstack([act_matrix(box_rho(lam, family), tuple(mu), p) for family in families])
+    return model.dim - rank_mod(stacked, p)

@@ -437,15 +437,16 @@ def test_hom_bound_past_the_relation_entry_cap(capsys, deadline):
 
 
 @pytest.mark.parametrize("rows", [100_000, 300_000, 2**40])
-def test_hom_bound_past_the_relation_family_cap(capsys, deadline, rows):
-    # (rows, rows) has rows relation families, listed one at a time before
-    # any entry was counted, and against a one-row mu they have no entries:
-    # 100,000 took 37 s, and the larger ones ran out of memory
+def test_hom_bound_on_long_rows_lists_only_p_power_families(capsys, deadline, rows):
+    # (rows, rows) has one relation family per power of 2 up to rows, and
+    # against a one-row mu they have no entries; with a family for every
+    # t <= rows, 100,000 took 37 s and the larger ones ran out of memory
     code, out, err = run(capsys, "verify", "--theorem", "6.1", "--p", "2", "--d", "1",
                          "--lambda", f"{rows},{rows}", "--mu", f"{2 * rows},0")
-    assert code == 3 and out == ""
-    assert err == (f"resource cap: the Hom oracle needs {rows} relation families, "
-                   f"exceeding the cap {weylkit.ext.MAX_RELATION_FAMILIES}")
+    assert (code, err) == (0, "")
+    report = json.loads(out)["result"]["report"]
+    assert report["verdict"] == "PASS"
+    assert report["ext_dims"] == report["shifted_ext_dims"] == [0]
 
 
 PAST_INT64 = str(2**63)
@@ -469,11 +470,14 @@ def test_parts_past_int64_are_usage_errors(capsys, deadline, argv):
     ("verify", "--theorem", "6.1", "--p", "3", "--d", "1", "--lambda", "1000,500,500",
      "--mu", "1200,800,0"),
     ("kostka", "--mu", "12000,8000,0", "--alpha", "10000,5000,5000"),
-], ids=["verify-6.1", "kostka"])
+    ("kostka", "--mu", "16000,6000,2000", "--alpha", "12000,8000,4000"),
+], ids=["verify-6.1", "kostka", "kostka-row-table"])
 def test_large_weight_slices_are_refused_early(capsys, deadline, argv):
     # the verify counted all 1,001 slices' relation entries before the cap,
     # holding 9.4 GB of slices, and the kostka tested 40 million pairs of a
-    # partial matrix and a row at once; both ended in MemoryError
+    # partial matrix and a row at once; both ended in MemoryError.  The
+    # second kostka listed the 12 million candidates of its first row before
+    # the cap saw them, and ran out of memory under a 2 GB limit after 22 s
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("resource cap:")

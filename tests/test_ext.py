@@ -43,6 +43,7 @@ from weylkit.weyl import _sub_vectors, act_matrix, act_matrix_simple
 from helpers import (
     basis_elements,
     dominated_pairs,
+    hom_dim_oracle_every_t,
     merge_table_by_pairs,
     numbered_grid,
     to_dense,
@@ -91,6 +92,23 @@ def test_hom_oracle_reported_dimensions():
     assert hom_dim_oracle((11, 3), (14, 0), 3) == 0
     assert hom_dim_oracle((1, 1, 1, 1), (2, 2, 0, 0), 3) == 1
     assert hom_dim_oracle((4, 1, 1, 1), (5, 2, 0, 0), 3) == 0
+
+
+def test_hom_oracle_of_p_power_families_matches_every_t():
+    # the hom-oracle bench grid: every ordered pair of partitions with n = 4
+    # and r in {6, 7, 8} at p in {2, 3}, and its shift by p at (1, 1); the
+    # relations of every t <= lam_{i+1} kill no more than those of t = p^j
+    values = nonzero = 0
+    for r in (6, 7, 8):
+        parts = enumerate_partitions(4, r)
+        for p in (2, 3):
+            for lam, mu in itertools.product(parts, parts):
+                for pair in ((lam, mu), (plus_shift_composition(lam, 1, p), plus_shift_composition(mu, 1, p))):
+                    dim = hom_dim_oracle(*pair, p)
+                    assert dim == hom_dim_oracle_every_t(*pair, p), (pair, p)
+                    values += 1
+                    nonzero += dim > 0
+    assert (values, nonzero) == (1708, 370)
 
 
 def test_hom_oracle_caps_the_relation_entries_of_every_slice(monkeypatch):
@@ -266,6 +284,29 @@ def test_verify_complex_isomorphism_cases():
     assert not rep["hypotheses"]["all_hold"] and "isomorphism" not in rep
     # the simple target has no entrywise check
     assert "isomorphism" not in verify_periodicity((1, 1), (2, 0), 2, 1, "simple")
+
+
+def test_verify_ranks_the_shifted_complex_only_when_no_isomorphism_is_proved(monkeypatch):
+    # once verify_complex_isomorphism has shown the two complexes equal, the
+    # shifted side takes the unshifted ranks: one complex_ranks call a
+    # verify, two when the hypotheses fail or the target is simple
+    calls = []
+    ranks = weylkit.ext.complex_ranks
+    monkeypatch.setattr(weylkit.ext, "complex_ranks", lambda diffs, p: calls.append(p) or ranks(diffs, p))
+    held = 0
+    for p in (2, 3):
+        for lam, mu in dominated_pairs(3, 5):
+            for target in ("weyl", "simple"):
+                calls.clear()
+                report = verify_periodicity(lam, mu, p, 1, target)
+                proved = target == "weyl" and report["hypotheses"]["all_hold"]
+                assert len(calls) == (1 if proved else 2), (lam, mu, p, target)
+                assert (list(report)[-1] == "isomorphism") == proved
+                if proved:
+                    held += 1
+                    shifted = build_hom_complex(report["shifted_lambda"], report["shifted_mu"], p)
+                    assert report["shifted_ext_dims"] == shifted.ext_dims(), (lam, mu, p)
+    assert held > 10
 
 
 @pytest.mark.parametrize("side", ["here", "there"])

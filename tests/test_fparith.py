@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weylkit.fparith import binom_array, binom_mod, binom_table, check_prime, is_prime, multinom_mod
+from weylkit.fparith import binom_array, binom_mod, binom_table, check_prime, is_prime, multinom_mod, p_powers
 
 PRIMES = (2, 3, 5, 7)
 
@@ -16,6 +16,19 @@ def test_examples():
     assert multinom_mod(3, [3], 2) == 1
     assert multinom_mod(4, [2, 1, 1], 3) == 0  # 12 = 0 mod 3
     assert multinom_mod(2, [1, 1], 2) == 0
+
+
+def test_p_powers_edges():
+    assert p_powers(2, 0) == ()
+    assert p_powers(3, 1) == (1,)
+    assert p_powers(3, 26) == (1, 3, 9)
+    assert p_powers(3, 27) == (1, 3, 9, 27)
+    # every power of 2 held by int64
+    assert p_powers(2, 2**63 - 1) == tuple(2**j for j in range(63))
+    for p in PRIMES:
+        powers = {p**j for j in range(8)}
+        for most in range(200):
+            assert p_powers(p, most) == tuple(q for q in range(1, most + 1) if q in powers), (p, most)
 
 
 def test_binomial_zero_above_diagonal():

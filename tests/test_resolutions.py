@@ -156,15 +156,26 @@ def test_hook_resolution_rejects_bad_input():
 
 
 def test_box_presentation_examples():
-    assert box_presentation((4,)) == []
-    assert box_presentation((1, 1)) == [BoxFamily(1, 1, (2, 0))]
-    assert box_presentation((2, 1)) == [BoxFamily(1, 1, (3, 0))]
-    fams = box_presentation((3, 2, 1))
-    assert fams == [
+    for p in (2, 3, 5):
+        assert box_presentation((4,), p) == []
+        assert box_presentation((1, 1), p) == [BoxFamily(1, 1, (2, 0))]
+        assert box_presentation((2, 1), p) == [BoxFamily(1, 1, (3, 0))]
+    assert box_presentation((3, 2, 1), 2) == [
         BoxFamily(1, 1, (4, 1, 1)),
         BoxFamily(1, 2, (5, 0, 1)),
         BoxFamily(2, 1, (3, 3, 0)),
     ]
+    # t runs over the powers of p up to the lower row, so p = 3 drops t = 2
+    assert box_presentation((3, 2, 1), 3) == [BoxFamily(1, 1, (4, 1, 1)), BoxFamily(2, 1, (3, 3, 0))]
+    # 41 families, t = 1, 2, 4, ..., 2^40, where every t would make 2^40
+    rows = 2**40
+    assert box_presentation((rows, rows), 2) == [
+        BoxFamily(1, 2**j, (rows + 2**j, rows - 2**j)) for j in range(41)
+    ]
+    # at p = 1 the powers would never pass the lower row
+    for p in (1, 4):
+        with pytest.raises(ValueError, match="prime"):
+            box_presentation((2, 1), p)
 
 
 def test_is_hook():
@@ -229,6 +240,8 @@ def test_degree_one_merge_homology_counts_the_generators_reaching_lam():
                     )
                     generators = sum(p**j <= lam[i] for i in range(1, n) for j in range(lam[i].bit_length()))
                     assert counts[1] - complex_ranks([arrows], p)[0] == generators, (lam, p)
+                    # one relation family of the box presentation per generator
+                    assert len(box_presentation(lam, p)) == generators, (lam, p)
                     cases += 1
     assert cases == 348
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import weylkit.shapes
@@ -11,6 +12,8 @@ from weylkit.shapes import (
     ChainSpace,
     ResourceLimitError,
     Tableau,
+    _count_bounded,
+    _row_table,
     chain_space,
     contingency_array,
     decode_matrices,
@@ -283,6 +286,19 @@ def test_contingency_array_cap_edge(monkeypatch, deadline):
     monkeypatch.setattr(weylkit.shapes, "MAX_CONTINGENCY_PAIRS", pairs - 1)
     with pytest.raises(ResourceLimitError, match=rf"need {pairs} \(partial, row\) pairs, exceeding the cap {pairs - 1}$"):
         contingency_array.__wrapped__(rows, cols)
+
+
+def test_candidate_count_is_the_row_table_length():
+    # the inclusion-exclusion count of the compositions under the bounds
+    cases = 0
+    for n in range(1, 5):
+        for bounds in itertools.product(range(5), repeat=n):
+            for total in range(14):
+                assert _count_bounded(total, bounds) == len(_row_table(total, bounds)), (total, bounds)
+                cases += 1
+    assert cases == 10920
+    # past int64 it stays exact: compositions of 2^62 into four unbounded parts
+    assert _count_bounded(2**62, (2**62,) * 4) == math.comb(2**62 + 3, 3)
 
 
 @pytest.mark.parametrize("deadline", [2], indirect=True)

@@ -37,7 +37,7 @@ from weylkit.weyl import (
     two_row_straighten,
 )
 
-from helpers import to_dense
+from helpers import box_rho, every_t_families, to_dense
 
 
 def _relations(mu, alpha, p):
@@ -62,21 +62,18 @@ def test_box_relations_single_row_empty():
     assert relations.shape[0] == 0
 
 
-def _relations_by_right_multiplication(mu, alpha, p):
+def _relations_by_right_multiplication(mu, alpha, p, families):
     """The box relations at weight alpha as right multiplication by xi_rho,
     rho being diag(mu) with t moved from (i+1, i+1) to (i, i+1): one row
-    per family (i, t) and generator x of D(source) at weight alpha, the row
-    holding the terms of xi_x . xi_rho, families and generators in order."""
+    per family (i, t) of ``families`` and generator x of D(source) at weight
+    alpha, the row holding the terms of xi_x . xi_rho, families and
+    generators in order."""
     monomials = enumerate_omega(alpha, mu)
     index = {w: j for j, w in enumerate(monomials)}
     generators = 0
     rows, cols, vals = [], [], []
-    for family in box_presentation(mu):
-        i = family.i - 1
-        rho = [list(row) for row in diagonal_matrix(mu)]
-        rho[i][i + 1] = family.t
-        rho[i + 1][i + 1] -= family.t
-        rho = tuple(map(tuple, rho))
+    for family in families:
+        rho = box_rho(mu, family)
         for x in enumerate_omega(alpha, family.source):
             for w, c in xi_product_terms(x, rho, p):
                 rows.append(generators)
@@ -88,7 +85,8 @@ def _relations_by_right_multiplication(mu, alpha, p):
 
 def test_box_relations_are_right_multiplication():
     # _box_relations builds the same rows without any product: every
-    # coefficient, row and row position must agree
+    # coefficient, row and row position must agree with those of the
+    # p-power families of box_presentation
     cases = [(n, r) for n in (1, 2, 3) for r in range(1, 7)] + [(4, r) for r in range(1, 6)]
     shifted = [((2, 1, 0), (1, 1, 1), 2, 1), ((2, 2, 0), (2, 1, 1), 3, 1),
                ((3, 1), (2, 2), 2, 2), ((2, 1, 1), (1, 2, 1), 2, 1)]
@@ -97,20 +95,23 @@ def test_box_relations_are_right_multiplication():
         for n, r in cases:
             for mu in enumerate_partitions(n, r):
                 for alpha in enumerate_compositions(n, r):
-                    relations = _relations(mu, alpha, p)
-                    assert relations == _relations_by_right_multiplication(mu, alpha, p), (mu, alpha, p)
+                    expected = _relations_by_right_multiplication(mu, alpha, p, box_presentation(mu, p))
+                    assert _relations(mu, alpha, p) == expected, (mu, alpha, p)
                     checked += 1
     for mu, alpha, p, d in shifted:
         mu, alpha = plus_shift_composition(mu, d, p), plus_shift_composition(alpha, d, p)
-        relations = _relations(mu, alpha, p)
-        assert relations == _relations_by_right_multiplication(mu, alpha, p), (mu, alpha, p)
+        expected = _relations_by_right_multiplication(mu, alpha, p, box_presentation(mu, p))
+        assert _relations(mu, alpha, p) == expected, (mu, alpha, p)
     assert checked > 1000
 
 
 def _dense_model(mu, alpha, p):
     """(monomials, relation rank, normal form) from a dense ``rref_mod`` of
-    the relation matrix with the non-SST columns first."""
-    monomials, relations = tuple(enumerate_omega(alpha, mu)), _relations(mu, alpha, p)
+    the relation matrix of the full presentation, a family for every
+    1 <= t <= mu_{i+1} and not only the powers of p, by right
+    multiplication, with the non-SST columns first."""
+    monomials = tuple(enumerate_omega(alpha, mu))
+    relations = _relations_by_right_multiplication(mu, alpha, p, every_t_families(mu))
     index = {w: i for i, w in enumerate(monomials)}
     sst_cols = [index[t.to_matrix()] for t in enumerate_sst(mu, alpha)]
     others = [c for c in range(len(monomials)) if c not in sst_cols]
@@ -124,9 +125,10 @@ def _dense_model(mu, alpha, p):
 
 
 def test_sparse_models_match_dense_reduction():
-    # every weight of every partition with n <= 3, r <= 7 and n = 4, r <= 6,
-    # and one n = 5, r = 15 slice below the top weight, whose 25 matrix
-    # entries up to 15 overflow any int64 mixed-radix key
+    # the models of the p-power presentation equal a dense reduction of the
+    # full one: every weight of every partition with n <= 3, r <= 7 and
+    # n = 4, r <= 6, and one n = 5, r = 15 slice below the top weight, whose
+    # 25 matrix entries up to 15 overflow any int64 mixed-radix key
     cases = [
         (mu, alpha)
         for n, r_max in ((1, 7), (2, 7), (3, 7), (4, 6))
@@ -207,14 +209,12 @@ def test_certificate_catches_a_corrupt_row_the_elimination_never_reaches(monkeyp
     assert len(read) < relations.shape[0]  # so the last row was never read
 
 
-def _oracle_batches(n: int, r: int):
+def _oracle_batches(n: int, r: int, p: int):
     """The slices ``hom_dim_oracle`` builds in one pass for each pair of
-    partitions with n parts of r: the weight lam and each lam + t alpha_i."""
+    partitions with n parts of r over F_p: the weight lam and each
+    lam + t alpha_i, t a power of p."""
     for lam in enumerate_partitions(n, r):
-        weights = [lam]
-        for family in box_presentation(lam):
-            i = family.i - 1
-            weights.append(lam[:i] + (lam[i] + family.t, lam[i + 1] - family.t) + lam[i + 2:])
+        weights = [lam] + [family.source for family in box_presentation(lam, p)]
         for mu in enumerate_partitions(n, r):
             if kostka(mu, lam):
                 yield [(mu, alpha) for alpha in weights]
@@ -240,7 +240,7 @@ def test_batched_models_match_single_builds():
     for p in (2, 3, 5):
         for n in (2, 3, 4):
             for r in range(1, 7):
-                for batch in _oracle_batches(n, r):
+                for batch in _oracle_batches(n, r, p):
                     _assert_same_models(batch, p, singles)
                     batches += len(batch) > 1
     # one pass over two shapes, and the n = 5, r = 15 slice beside a
